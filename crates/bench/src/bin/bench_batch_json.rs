@@ -226,6 +226,7 @@ fn main() {
             (96, 363, 3025)
         };
         let qa = mramrl_nn::difftest::qfill(qm * qk, 1001);
+        let ql1 = mramrl_nn::qgemm::row_l1_norms(&qa, qm, qk);
         let qbt = mramrl_nn::difftest::qfill(qn * qk, 1002);
         let qbias = mramrl_nn::difftest::qfill(qm, 1003);
         let mut qc = vec![mramrl_fixed::Q8_8::from_raw(0); qm * qn];
@@ -234,7 +235,7 @@ fn main() {
             mramrl_nn::QGemmBackend::Simd,
         ] {
             let ns = time_ns(reps, || {
-                qbe.matmul_bt_bias_requant_into(&mut qc, &qa, &qbt, &qbias, qm, qk, qn);
+                qbe.matmul_bt_bias_requant_into(&mut qc, &qa, &ql1, &qbt, &qbias, qm, qk, qn);
             });
             cells.push(Cell {
                 backend: qbe.name(),

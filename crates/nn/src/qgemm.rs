@@ -41,9 +41,17 @@
 //!   associative in `Z/2³²`, so
 //!   vectorisation and column-grouping are free, and equal to the
 //!   saturating chain because no step can leave the `i32` range;
-//! * rows that could saturate (and skinny `n < 4` products, which gain
-//!   nothing from tiling — mirroring the float backend's `n < 8`
-//!   fallback) take the exact ascending-`k` saturating chain.
+//! * rows that could saturate take the exact ascending-`k` saturating
+//!   chain.
+//!
+//! The certificate applies at any output width: skinny products
+//! (batch-1…3 FC layers, the serving shape) run certified rows on the
+//! fast dots too. Routing them to the saturating chain instead made the
+//! live service's batch-2 engine pass ≈ 3.6 ms, against ≈ 0.8 ms now
+//! (≈ 0.5 ms standalone; 2-vCPU AVX-512 host). The certificate's
+//! weight half — each A row's L1 norm — is an argument of the kernel
+//! ([`row_l1_norms`]): [`crate::quant::QuantizedNet`] stores it at
+//! snapshot time, so a call only scans its Bᵀ for `max|b|`.
 //!
 //! [`QGemmBackend::Simd`] is the same kernel with the certified rows'
 //! wrapping adds made **explicitly** lane-parallel
@@ -51,9 +59,9 @@
 //! designed for — see [`crate::simd`]): any lane grouping of wrapping
 //! adds computes the same value mod 2³², and the certificate bounds
 //! every partial sum below `i32::MAX`, so the lanes reproduce the
-//! saturating oracle's exact bits. Uncertified and skinny rows take
-//! the identical scalar chains as `Blocked`; hosts without AVX2 (or
-//! with `NN_SIMD=off`) fall back to the blocked kernel wholesale.
+//! saturating oracle's exact bits. Uncertified rows take the identical
+//! scalar chain as `Blocked`; hosts without AVX2 (or with
+//! `NN_SIMD=off`) fall back to the blocked kernel wholesale.
 //!
 //! The result is bit-for-bit identical across backends and pool sizes —
 //! `crates/nn/tests/quant_equivalence.rs` and
@@ -71,16 +79,17 @@
 //!
 //! ```
 //! use mramrl_fixed::Q8_8;
-//! use mramrl_nn::qgemm::QGemmBackend;
+//! use mramrl_nn::qgemm::{row_l1_norms, QGemmBackend};
 //!
 //! let q = |v: f32| Q8_8::from_f32(v);
 //! let a = [q(1.0), q(2.0), q(3.0), q(4.0)]; // 2×2 weights, rows over k
+//! let l1 = row_l1_norms(&a, 2, 2); // once per weight matrix
 //! let bt = [q(0.5), q(1.5), q(1.0), q(-1.0)]; // 2×2 Bᵀ, rows over k
 //! let bias = [q(0.25), q(-0.25)];
 //! let mut naive = [Q8_8::ZERO; 4];
 //! let mut blocked = [Q8_8::ZERO; 4];
-//! QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut naive, &a, &bt, &bias, 2, 2, 2);
-//! QGemmBackend::Blocked.matmul_bt_bias_requant_into(&mut blocked, &a, &bt, &bias, 2, 2, 2);
+//! QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut naive, &a, &l1, &bt, &bias, 2, 2, 2);
+//! QGemmBackend::Blocked.matmul_bt_bias_requant_into(&mut blocked, &a, &l1, &bt, &bias, 2, 2, 2);
 //! assert_eq!(naive, blocked); // bitwise, by the summation-order contract
 //! assert_eq!(naive[0].to_f32(), 0.25 + 1.0 * 0.5 + 2.0 * 1.5);
 //! ```
@@ -92,12 +101,6 @@ use mramrl_fixed::{Acc32, Q8_8};
 /// Output columns (Bᵀ rows) processed together by the certified tile:
 /// each A-row element load is amortised over `QJ` dot products.
 const QJ: usize = 4;
-
-/// Below this column count the tiled kernel gains nothing over the
-/// oracle chain (mat-vec shapes are latency-bound either way); the
-/// blocked backend falls back to the exact saturating loops, mirroring
-/// the float backend's `n < 8` naive fallback.
-const QMIN_N: usize = 4;
 
 /// Below this many multiply-accumulates a pooled launch costs more than
 /// it saves; [`QGemmBackend::Pooled`] falls back to the blocked kernel.
@@ -173,24 +176,30 @@ impl QGemmBackend {
     ///
     /// `C[m×n] = requant( bias[m·row] + A[m×k] · B[n×k]ᵀ )`
     ///
-    /// `a` holds `m` rows of `k` (the weights), `bt` holds `n` rows of
-    /// `k` (the transposed activation operand — an FC batch or an
-    /// im2col matrix, both naturally in this layout). Every output
-    /// element is one accumulator chain: seeded from its row's bias,
-    /// products added in ascending `k`, saturated at the 32-bit
-    /// accumulator width per step, re-quantised to Q8.8 once. `c` is
-    /// fully overwritten. All backends produce identical bits.
+    /// `a` holds `m` rows of `k` (the weights) and `a_l1` their L1
+    /// norms ([`row_l1_norms`] — the stored half of the overflow
+    /// certificate), `bt` holds `n` rows of `k` (the transposed
+    /// activation operand — an FC batch or an im2col matrix, both
+    /// naturally in this layout). Every output element is one
+    /// accumulator chain: seeded from its row's bias, products added in
+    /// ascending `k`, saturated at the 32-bit accumulator width per
+    /// step, re-quantised to Q8.8 once. `c` is fully overwritten. All
+    /// backends produce identical bits.
     ///
     /// # Panics
     ///
-    /// Panics if any slice length does not match the dimensions.
-    // The argument list is the GEMM contract itself (3 operands + bias
-    // + 3 dimensions) — same shape as the float `matmul_*_into` family.
+    /// Panics if any slice length does not match the dimensions. Debug
+    /// builds also check `a_l1` against [`row_l1_norms`]: a stale norm
+    /// would make the certificate unsound.
+    // The argument list is the GEMM contract itself (3 operands + the
+    // A norms + bias + 3 dimensions) — same shape as the float
+    // `matmul_*_into` family.
     #[allow(clippy::too_many_arguments)]
     pub fn matmul_bt_bias_requant_into(
         self,
         c: &mut [Q8_8],
         a: &[Q8_8],
+        a_l1: &[i64],
         bt: &[Q8_8],
         bias: &[Q8_8],
         m: usize,
@@ -198,14 +207,19 @@ impl QGemmBackend {
         n: usize,
     ) {
         assert_eq!(a.len(), m * k, "A dimensions");
+        assert_eq!(a_l1.len(), m, "A norm dimensions");
         assert_eq!(bt.len(), n * k, "Bᵀ dimensions");
         assert_eq!(bias.len(), m, "bias dimensions");
         assert_eq!(c.len(), m * n, "C dimensions");
+        debug_assert!(a_l1 == row_l1_norms(a, m, k), "stale A norms");
         match self {
             QGemmBackend::Naive => qmatmul_naive(c, a, bt, bias, m, k, n),
-            QGemmBackend::Blocked => qmatmul_band(c, a, bt, bias, m, k, n),
-            QGemmBackend::Pooled => qmatmul_pooled(c, a, bt, bias, m, k, n),
-            QGemmBackend::Simd => qmatmul_simd(c, a, bt, bias, m, k, n),
+            QGemmBackend::Blocked => qmatmul_band(c, a, a_l1, bt, bias, m, k, n, false),
+            QGemmBackend::Pooled => qmatmul_pooled(c, a, a_l1, bt, bias, m, k, n, false),
+            QGemmBackend::Simd => {
+                let lanes = crate::simd::simd_active();
+                qmatmul_pooled(c, a, a_l1, bt, bias, m, k, n, lanes)
+            }
         }
     }
 }
@@ -302,9 +316,40 @@ fn qdot_sat(arow: &[Q8_8], brow: &[Q8_8], bias: Q8_8) -> Q8_8 {
     requant_raw(acc)
 }
 
+/// Per-row L1 norms `Σₖ|a[i,k]|` (raw Q8.8 units) of the `m×k` weight
+/// operand — the weight half of the [`row_safe`] certificate, and the
+/// `a_l1` argument of [`QGemmBackend::matmul_bt_bias_requant_into`].
+///
+/// Weights are frozen between snapshots, so
+/// [`crate::quant::QuantizedNet`] computes these once at snapshot time
+/// and every product reuses them; callers multiplying ad-hoc weights
+/// compute them here.
+///
+/// # Panics
+///
+/// Panics if `a.len() != m * k`.
+pub fn row_l1_norms(a: &[Q8_8], m: usize, k: usize) -> Vec<i64> {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    // |raw| ≤ 2¹⁵, so a u32 sums 2¹⁶ of them exactly — narrow lanes
+    // that vectorise, where an i64 running sum would not.
+    let l1 = |row: &[Q8_8]| -> i64 {
+        row.chunks(1 << 16)
+            .map(|c| {
+                i64::from(
+                    c.iter()
+                        .map(|q| u32::from(q.raw().unsigned_abs()))
+                        .sum::<u32>(),
+                )
+            })
+            .sum()
+    };
+    (0..m).map(|i| l1(&a[i * k..(i + 1) * k])).collect()
+}
+
 /// Per-row overflow-safety certificate: `true` when **no** MAC chain of
-/// this A row over this Bᵀ can leave the `i32` range at any
-/// intermediate step, for any output column.
+/// an A row with L1 norm `l1` (from [`row_l1_norms`]) and this `bias`
+/// can leave the `i32` range at any intermediate step, for any Bᵀ
+/// whose largest entry magnitude is `max_b`.
 ///
 /// Bound: every partial sum — under *any* association — is bounded in
 /// magnitude by `|bias·2⁸| + Σₖ|a[i,k]| · max|b|` (triangle inequality,
@@ -322,8 +367,7 @@ fn qdot_sat(arow: &[Q8_8], brow: &[Q8_8], bias: Q8_8) -> Q8_8 {
 /// (`crates/nn/tests/simd_equivalence.rs`) can construct rows sitting
 /// exactly at, one unit below, and one unit above the threshold and
 /// assert both verdicts and bits.
-pub fn row_safe(arow: &[Q8_8], bias: Q8_8, max_b: i64) -> bool {
-    let l1: i64 = arow.iter().map(|q| i64::from(q.raw()).abs()).sum();
+pub fn row_safe(l1: i64, bias: Q8_8, max_b: i64) -> bool {
     i64::from(bias.raw()).abs() * 256 + l1 * max_b < i64::from(i32::MAX)
 }
 
@@ -338,43 +382,48 @@ fn qdot_fast(arow: &[Q8_8], brow: &[Q8_8], bias: Q8_8) -> Q8_8 {
     requant_raw(acc)
 }
 
-/// Blocked kernel over a row band of `A`/`bias`.
+/// Blocked kernel over a row band of `A`/`a_l1`/`bias`, at any `n`.
 ///
-/// Skinny outputs (`n < QMIN_N`) take the exact chains directly. For
-/// real tiles, each A row is certified once ([`row_safe`]); certified
-/// rows run `QJ` contiguous-dot columns at a time with plain adds —
-/// every A-element load amortised `QJ`×, the dots lowering to the
-/// ISA's 16×16→32 multiply-add — and uncertified rows take the
-/// saturating chain. Either way each output is the oracle's ascending-`k`
-/// accumulator, bit for bit. There is no k-splitting *with saturation*:
-/// only certified (clamp-free, hence associative) rows are reassociated.
+/// Each A row is certified once per call from its stored L1 norm and
+/// this Bᵀ's `max|b|` ([`row_safe`]) — O(n·k) per call, no pass over
+/// the weights. Certified rows run `QJ` contiguous-dot columns at a
+/// time with plain adds — every A-element load amortised `QJ`×, the
+/// dots lowering to the ISA's 16×16→32 multiply-add — and the `n % QJ`
+/// column tail (all of a batch-1…3 FC product) one certified dot each.
+/// With `lanes` (the `Simd` backend; caller has checked
+/// [`crate::simd::simd_active`]) those dots run on explicit `pmaddwd`
+/// lanes ([`crate::simd::qdot4`] / [`crate::simd::qdot1`]); the
+/// certificate makes that change of arithmetic engine invisible to
+/// the bits. Uncertified rows take the saturating chain on either
+/// engine. Each output is the oracle's ascending-`k` accumulator, bit
+/// for bit: only certified (clamp-free, hence associative) rows are
+/// reassociated.
+///
+/// The certificate holds at any width, so skinny products (the
+/// batch-1…3 FC layers of serving) take the certified dots too; the
+/// module docs give the measured cost of sending them down the
+/// saturating chain instead.
+#[allow(clippy::too_many_arguments)]
 fn qmatmul_band(
     c: &mut [Q8_8],
     a: &[Q8_8],
+    a_l1: &[i64],
     bt: &[Q8_8],
     bias: &[Q8_8],
     rows: usize,
     k: usize,
     n: usize,
+    lanes: bool,
 ) {
-    if n < QMIN_N {
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
-            }
-        }
-        return;
-    }
-    let max_b: i64 = bt
+    let max_b = bt
         .iter()
-        .map(|q| i64::from(q.raw()).abs())
+        .map(|q| q.raw().unsigned_abs())
         .max()
-        .unwrap_or(0);
+        .map_or(0, i64::from);
     for i in 0..rows {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
-        if !row_safe(arow, bias[i], max_b) {
+        if !row_safe(a_l1[i], bias[i], max_b) {
             for (j, cv) in crow.iter_mut().enumerate() {
                 *cv = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
             }
@@ -383,152 +432,63 @@ fn qmatmul_band(
         let seed = bias_raw(bias[i]);
         let mut j = 0;
         while j + QJ <= n {
-            // QJ independent certified dots sharing each A load.
-            let b0 = &bt[j * k..(j + 1) * k];
-            let b1 = &bt[(j + 1) * k..(j + 2) * k];
-            let b2 = &bt[(j + 2) * k..(j + 3) * k];
-            let b3 = &bt[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (seed, seed, seed, seed);
-            for (kk, &av) in arow.iter().enumerate() {
-                let av = i32::from(av.raw());
-                s0 += av * i32::from(b0[kk].raw());
-                s1 += av * i32::from(b1[kk].raw());
-                s2 += av * i32::from(b2[kk].raw());
-                s3 += av * i32::from(b3[kk].raw());
-            }
-            crow[j] = requant_raw(s0);
-            crow[j + 1] = requant_raw(s1);
-            crow[j + 2] = requant_raw(s2);
-            crow[j + 3] = requant_raw(s3);
-            j += QJ;
-        }
-        for (j, cv) in crow.iter_mut().enumerate().skip(j) {
-            *cv = qdot_fast(arow, &bt[j * k..(j + 1) * k], bias[i]);
-        }
-    }
-}
-
-/// The `Simd` band kernel: [`qmatmul_band`]'s structure with the
-/// certified rows' `QJ`-column dot groups on explicit `pmaddwd` lanes
-/// ([`crate::simd::qdot4`] / [`crate::simd::qdot1`]). The skinny
-/// fallback, the certification decision and the uncertified saturating
-/// chains are **the same code paths** as the blocked kernel; only the
-/// arithmetic engine of already-reassociable (certified) dots changes,
-/// and the certificate makes that change invisible to the bits.
-///
-/// Must only be called with [`crate::simd::simd_active`] true (the
-/// lane primitives' caller contract).
-fn qmatmul_band_simd(
-    c: &mut [Q8_8],
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    if n < QMIN_N {
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
-            }
-        }
-        return;
-    }
-    let max_b: i64 = bt
-        .iter()
-        .map(|q| i64::from(q.raw()).abs())
-        .max()
-        .unwrap_or(0);
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        if !row_safe(arow, bias[i], max_b) {
-            for (j, cv) in crow.iter_mut().enumerate() {
-                *cv = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
-            }
-            continue;
-        }
-        let seed = bias_raw(bias[i]);
-        let mut j = 0;
-        while j + QJ <= n {
-            let s = crate::simd::qdot4(
-                arow,
+            let (b0, b1, b2, b3) = (
                 &bt[j * k..(j + 1) * k],
                 &bt[(j + 1) * k..(j + 2) * k],
                 &bt[(j + 2) * k..(j + 3) * k],
                 &bt[(j + 3) * k..(j + 4) * k],
-                seed,
             );
-            crow[j] = requant_raw(s[0]);
-            crow[j + 1] = requant_raw(s[1]);
-            crow[j + 2] = requant_raw(s[2]);
-            crow[j + 3] = requant_raw(s[3]);
+            let s = if lanes {
+                crate::simd::qdot4(arow, b0, b1, b2, b3, seed)
+            } else {
+                // QJ independent certified dots sharing each A load.
+                let mut s = [seed; QJ];
+                for (kk, &av) in arow.iter().enumerate() {
+                    let av = i32::from(av.raw());
+                    s[0] += av * i32::from(b0[kk].raw());
+                    s[1] += av * i32::from(b1[kk].raw());
+                    s[2] += av * i32::from(b2[kk].raw());
+                    s[3] += av * i32::from(b3[kk].raw());
+                }
+                s
+            };
+            for (cv, sv) in crow[j..j + QJ].iter_mut().zip(s) {
+                *cv = requant_raw(sv);
+            }
             j += QJ;
         }
         for (j, cv) in crow.iter_mut().enumerate().skip(j) {
-            *cv = requant_raw(crate::simd::qdot1(arow, &bt[j * k..(j + 1) * k], seed));
+            let brow = &bt[j * k..(j + 1) * k];
+            *cv = if lanes {
+                requant_raw(crate::simd::qdot1(arow, brow, seed))
+            } else {
+                qdot_fast(arow, brow, bias[i])
+            };
         }
     }
-}
-
-/// The `Simd` dispatch: [`qmatmul_band_simd`] over the same pooled
-/// row-band scatter (and the same thresholds) as [`qmatmul_pooled`];
-/// with the SIMD gate closed ([`crate::simd::simd_active`] false) the
-/// whole product runs the pooled blocked kernel — same bits either
-/// way, by the certificate argument.
-fn qmatmul_simd(
-    c: &mut [Q8_8],
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if !crate::simd::simd_active() {
-        qmatmul_pooled(c, a, bt, bias, m, k, n);
-        return;
-    }
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < QPAR_MIN_MACS {
-        qmatmul_band_simd(c, a, bt, bias, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let r0 = t * band_rows;
-        qmatmul_band_simd(
-            cband,
-            &a[r0 * k..(r0 + rows) * k],
-            bt,
-            &bias[r0..r0 + rows],
-            rows,
-            k,
-            n,
-        );
-    });
 }
 
 /// Pooled kernel: contiguous row bands of `C` scattered over the
 /// persistent [`crate::pool`], each band running [`qmatmul_band`] on its
-/// own rows of `A`/`bias`. Every output element is computed by exactly
-/// one band with the blocked kernel's MAC chain, so the scatter is
-/// disjoint and bit-identical to serial at any pool size.
+/// own rows of `A`/`a_l1`/`bias`. Every output element is computed by
+/// exactly one band with the blocked kernel's MAC chain, so the scatter
+/// is disjoint and bit-identical to serial at any pool size. `lanes`
+/// selects the band's certified-dot engine (the `Simd` backend).
+#[allow(clippy::too_many_arguments)]
 fn qmatmul_pooled(
     c: &mut [Q8_8],
     a: &[Q8_8],
+    a_l1: &[i64],
     bt: &[Q8_8],
     bias: &[Q8_8],
     m: usize,
     k: usize,
     n: usize,
+    lanes: bool,
 ) {
     let threads = crate::pool::current_threads().min(m.max(1));
     if threads <= 1 || m * k * n < QPAR_MIN_MACS {
-        qmatmul_band(c, a, bt, bias, m, k, n);
+        qmatmul_band(c, a, a_l1, bt, bias, m, k, n, lanes);
         return;
     }
     let band_rows = m.div_ceil(threads);
@@ -538,11 +498,13 @@ fn qmatmul_pooled(
         qmatmul_band(
             cband,
             &a[r0 * k..(r0 + rows) * k],
+            &a_l1[r0..r0 + rows],
             bt,
             &bias[r0..r0 + rows],
             rows,
             k,
             n,
+            lanes,
         );
     });
 }
@@ -620,21 +582,23 @@ mod tests {
             (5, 7, 9),
             (4, 300, 8),   // long contraction, whole tiles
             (13, 257, 33), // ragged tails on every dimension
-            (3, 4, 1),     // matvec: the skinny fallback
-            (6, 5, 3),     // n < QMIN_N, several rows
+            (3, 4, 1),     // matvec: a pure certified column tail
+            (6, 5, 3),     // skinny, several rows
         ] {
             let a = qfill(m * k, 1);
+            let l1 = row_l1_norms(&a, m, k);
             let bt = qfill(n * k, 2);
             let bias = qfill(m, 3);
             let mut want = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
+            QGemmBackend::Naive
+                .matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, m, k, n);
             for be in [
                 QGemmBackend::Blocked,
                 QGemmBackend::Pooled,
                 QGemmBackend::Simd,
             ] {
                 let mut got = vec![Q8_8::MAX; m * n]; // dirty: must be overwritten
-                be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
+                be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
                 assert_eq!(
                     want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                     got.iter().map(|q| q.raw()).collect::<Vec<_>>(),
@@ -648,15 +612,17 @@ mod tests {
     fn pooled_matches_naive_at_several_pool_sizes() {
         let (m, k, n) = (16usize, 300usize, 40usize);
         let a = qfill(m * k, 7);
+        let l1 = row_l1_norms(&a, m, k);
         let bt = qfill(n * k, 8);
         let bias = qfill(m, 9);
         let mut want = vec![Q8_8::ZERO; m * n];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
+        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, m, k, n);
         for threads in [1usize, 2, 7] {
             let pool = crate::pool::ThreadPool::new(threads);
             let _g = pool.install();
             let mut got = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Pooled.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
+            QGemmBackend::Pooled
+                .matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
             assert_eq!(want, got, "threads={threads}");
         }
     }
@@ -676,19 +642,24 @@ mod tests {
         for v in a.iter_mut().skip(k / 2) {
             *v = neg;
         }
-        let bt: Vec<Q8_8> = (0..4 * k).map(|_| big).collect(); // n = 4: tiled path
+        let l1 = row_l1_norms(&a, 1, k);
         let bias = [Q8_8::ZERO];
-        let mut want = vec![Q8_8::ZERO; 4];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, 1, k, 4);
-        assert_eq!(want[0], Q8_8::MIN, "chain must end clamped, not cancelled");
-        for be in [
-            QGemmBackend::Blocked,
-            QGemmBackend::Pooled,
-            QGemmBackend::Simd,
-        ] {
-            let mut got = vec![Q8_8::ZERO; 4];
-            be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, 1, k, 4);
-            assert_eq!(want, got, "{be}");
+        // n = 4 is one whole tile; n < 4 is the skinny column tail.
+        for n in 1..=4 {
+            let bt: Vec<Q8_8> = (0..n * k).map(|_| big).collect();
+            let mut want = vec![Q8_8::ZERO; n];
+            QGemmBackend::Naive
+                .matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, 1, k, n);
+            assert_eq!(want[0], Q8_8::MIN, "chain must end clamped, not cancelled");
+            for be in [
+                QGemmBackend::Blocked,
+                QGemmBackend::Pooled,
+                QGemmBackend::Simd,
+            ] {
+                let mut got = vec![Q8_8::ZERO; n];
+                be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, 1, k, n);
+                assert_eq!(want, got, "{be} n={n}");
+            }
         }
     }
 
@@ -703,20 +674,21 @@ mod tests {
         for v in a.iter_mut().skip(4 * k) {
             *v = Q8_8::from_f32(127.0);
         }
+        let l1 = row_l1_norms(&a, m, k);
         let mut bt = qfill(n * k, 22);
         for v in bt.iter_mut().take(n * k / 2) {
             *v = Q8_8::from_f32(127.0);
         }
         let bias = qfill(m, 23);
         let mut want = vec![Q8_8::ZERO; m * n];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
+        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, m, k, n);
         for be in [
             QGemmBackend::Blocked,
             QGemmBackend::Pooled,
             QGemmBackend::Simd,
         ] {
             let mut got = vec![Q8_8::ZERO; m * n];
-            be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
+            be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
             assert_eq!(
                 want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                 got.iter().map(|q| q.raw()).collect::<Vec<_>>(),

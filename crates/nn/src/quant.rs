@@ -38,12 +38,15 @@ use mramrl_fixed::Q8_8;
 
 use crate::error::NnError;
 use crate::network::Network;
-use crate::qgemm::{qim2col_slice_into, QGemmBackend};
+use crate::qgemm::{qim2col_slice_into, row_l1_norms, QGemmBackend};
 use crate::spec::{LayerSpec, NetworkSpec};
 use crate::tensor::Tensor;
 use crate::workspace::LayerWs;
 
-/// A quantised layer snapshot.
+/// A quantised layer snapshot. Conv and FC layers carry `l1`, each
+/// weight row's L1 norm ([`row_l1_norms`]): the stored half of the
+/// integer kernel's overflow certificate, computed once when the
+/// weights are quantised and passed to every product.
 #[derive(Debug, Clone)]
 enum QLayer {
     Conv {
@@ -53,12 +56,14 @@ enum QLayer {
         stride: usize,
         pad: usize,
         weight: Vec<Q8_8>,
+        l1: Vec<i64>,
         bias: Vec<Q8_8>,
     },
     Fc {
         in_f: usize,
         out_f: usize,
         weight: Vec<Q8_8>,
+        l1: Vec<i64>,
         bias: Vec<Q8_8>,
     },
     Relu,
@@ -198,7 +203,11 @@ impl QuantizedNet {
             }
         }
         let mut pi = 0usize;
-        let mut take2 = |want_w: usize, want_b: usize| -> Result<(Vec<Q8_8>, Vec<Q8_8>), NnError> {
+        // One layer's `rows × row_len` weights and `rows` biases,
+        // quantised, plus the weight rows' L1 norms.
+        type QParams = (Vec<Q8_8>, Vec<i64>, Vec<Q8_8>);
+        let mut take2 = |rows: usize, row_len: usize| -> Result<QParams, NnError> {
+            let (want_w, want_b) = (rows * row_len, rows);
             if pi + 2 > params.len() {
                 return Err(NnError::ShapeMismatch {
                     context: "network has fewer param tensors than spec".into(),
@@ -216,10 +225,10 @@ impl QuantizedNet {
                     ),
                 });
             }
-            Ok((
-                w.data().iter().map(|&v| Q8_8::from_f32(v)).collect(),
-                b.data().iter().map(|&v| Q8_8::from_f32(v)).collect(),
-            ))
+            let weight: Vec<Q8_8> = w.data().iter().map(|&v| Q8_8::from_f32(v)).collect();
+            let l1 = row_l1_norms(&weight, rows, row_len);
+            let bias = b.data().iter().map(|&v| Q8_8::from_f32(v)).collect();
+            Ok((weight, l1, bias))
         };
 
         let mut layers = Vec::with_capacity(spec.layers.len());
@@ -233,7 +242,7 @@ impl QuantizedNet {
                     pad,
                     ..
                 } => {
-                    let (weight, bias) = take2(in_c * out_c * k * k, *out_c)?;
+                    let (weight, l1, bias) = take2(*out_c, in_c * k * k)?;
                     QLayer::Conv {
                         in_c: *in_c,
                         out_c: *out_c,
@@ -241,15 +250,17 @@ impl QuantizedNet {
                         stride: *stride,
                         pad: *pad,
                         weight,
+                        l1,
                         bias,
                     }
                 }
                 LayerSpec::Fc { in_f, out_f, .. } => {
-                    let (weight, bias) = take2(in_f * out_f, *out_f)?;
+                    let (weight, l1, bias) = take2(*out_f, *in_f)?;
                     QLayer::Fc {
                         in_f: *in_f,
                         out_f: *out_f,
                         weight,
+                        l1,
                         bias,
                     }
                 }
@@ -375,6 +386,7 @@ impl QuantizedNet {
                 stride,
                 pad,
                 weight,
+                l1,
                 bias,
             } => {
                 let (in_h, in_w) = (shape[1], shape[2]);
@@ -418,7 +430,7 @@ impl QuantizedNet {
                         tasks.push(Box::new(move || {
                             qim2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
                             sample_be.matmul_bt_bias_requant_into(
-                                out_i, weight, cols_i, bias, out_c, taps, positions,
+                                out_i, weight, l1, cols_i, bias, out_c, taps, positions,
                             );
                         }));
                     }
@@ -443,7 +455,7 @@ impl QuantizedNet {
                     }
                     let gc = reuse_qbuf(&mut slot.gemm_c, out_c * big_n);
                     self.backend.matmul_bt_bias_requant_into(
-                        gc, weight, cols_all, bias, *out_c, taps, big_n,
+                        gc, weight, l1, cols_all, bias, *out_c, taps, big_n,
                     );
                     // Reorder [out_c × N·positions] → [N, out_c, positions]
                     // (a pure Q8.8 copy — no arithmetic, no bit changes).
@@ -462,13 +474,14 @@ impl QuantizedNet {
                 in_f,
                 out_f,
                 weight,
+                l1,
                 bias,
             } => {
                 // The activation batch [N, in_f] IS the Bᵀ operand —
                 // zero packing. C[out_f × N] = requant(b + W · xᵀ).
                 let ct = reuse_qbuf(&mut slot.gemm_c, out_f * n);
                 self.backend
-                    .matmul_bt_bias_requant_into(ct, weight, input, bias, *out_f, *in_f, n);
+                    .matmul_bt_bias_requant_into(ct, weight, l1, input, bias, *out_f, *in_f, n);
                 // Reorder [out_f × N] → [N, out_f] (pure copy).
                 let out = reuse_qbuf(&mut slot.out, n * out_f);
                 for i in 0..n {
@@ -725,6 +738,37 @@ mod tests {
                 assert_eq!(ws.footprint(), footprint, "{be}: footprint grew");
             }
         }
+    }
+
+    #[test]
+    fn stored_norms_match_weight_rows_after_snapshot_and_clone() {
+        // The stored norms are the weight half of the kernel's overflow
+        // certificate: a norm that drifted from its row would certify a
+        // row that can overflow. Recompute each one from the rows.
+        let check = |q: &QuantizedNet| {
+            let mut checked = 0;
+            for layer in &q.layers {
+                let (weight, l1, rows) = match layer {
+                    QLayer::Conv {
+                        weight, l1, out_c, ..
+                    } => (weight, l1, *out_c),
+                    QLayer::Fc {
+                        weight, l1, out_f, ..
+                    } => (weight, l1, *out_f),
+                    _ => continue,
+                };
+                let want: Vec<i64> = weight
+                    .chunks(weight.len() / rows)
+                    .map(|row| row.iter().map(|v| i64::from(v.raw()).abs()).sum())
+                    .collect();
+                assert_eq!(l1, &want);
+                checked += 1;
+            }
+            assert_eq!(checked, 10, "five conv and five FC layers");
+        };
+        let (_, _, q) = setup();
+        check(&q);
+        check(&q.clone());
     }
 
     #[test]

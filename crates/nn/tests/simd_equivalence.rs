@@ -13,7 +13,9 @@
 //! 2. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
 //!    threshold flip the verdict at the right point, and all four
-//!    integer backends agree bitwise on either side of it.
+//!    integer backends agree bitwise on either side of it — in whole
+//!    column tiles and in skinny `n < 4` products alike, and through
+//!    a whole [`QuantizedNet`] forward at batch 1 and 2.
 //! 3. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
 //!    (the in-process face of the `NN_SIMD=off` knob) both datapaths
 //!    collapse onto their scalar kernels bitwise — so the fallback
@@ -30,9 +32,20 @@ use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::difftest::{
     assert_bitwise, assert_close, assert_ulp_close, bits, fill, fill01, qbits, qfill, sweep_pools,
 };
-use mramrl_nn::qgemm::{row_safe, QGemmBackend};
-use mramrl_nn::{simd, NetworkSpec, Tensor, Workspace};
+use mramrl_nn::qgemm::{row_l1_norms, row_safe, QGemmBackend};
+use mramrl_nn::{simd, Network, NetworkSpec, QWorkspace, QuantizedNet, Tensor, Workspace};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises the tests that take a [`simd::force_scalar`] guard. The
+/// guard is process-wide: without this, one test's guard would turn
+/// another's lane runs scalar, and the restore check in
+/// `forced_fallback_collapses_both_datapaths_onto_scalar_kernels`
+/// would race.
+fn scalar_gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs one integer GEMM on the given backend into a fresh buffer.
 fn qmm(
@@ -45,13 +58,41 @@ fn qmm(
     n: usize,
 ) -> Vec<Q8_8> {
     let mut c = vec![Q8_8::from_raw(0); m * n];
-    be.matmul_bt_bias_requant_into(&mut c, a, bt, bias, m, k, n);
+    be.matmul_bt_bias_requant_into(&mut c, a, &row_l1_norms(a, m, k), bt, bias, m, k, n);
     c
+}
+
+/// The L1 norm of one weight row — the certificate's weight half.
+fn l1(row: &[Q8_8]) -> i64 {
+    row_l1_norms(row, 1, row.len())[0]
+}
+
+/// Rows of 32767-magnitude entries whose L1 norms sit one unit below
+/// (`i32::MAX - 1`), exactly at, and one unit above `i32::MAX`, with
+/// signs drawn from `seed` (L1 sees magnitudes only). `base` is one
+/// entry shorter than the other two.
+fn boundary_rows(seed: u64) -> [Vec<Q8_8>; 3] {
+    // 65538 × 32767 = 2_147_483_646 = i32::MAX - 1.
+    let sign = |i: usize| {
+        if (seed >> (i % 40)) & 1 == 0 {
+            1i16
+        } else {
+            -1i16
+        }
+    };
+    let base: Vec<Q8_8> = (0..65538)
+        .map(|i| Q8_8::from_raw(32767 * sign(i)))
+        .collect();
+    let mut at = base.clone();
+    at.push(Q8_8::from_raw(sign(7))); // L1 = i32::MAX
+    let mut above = base.clone();
+    above.push(Q8_8::from_raw(2 * sign(11))); // L1 = i32::MAX + 1
+    [base, at, above]
 }
 
 proptest! {
     /// Contract 1 at property scale: random ragged shapes (vector
-    /// bodies, scalar tails, sub-`QMIN_N` columns, empty dims), random
+    /// bodies, scalar tails, skinny `n < 4` columns, empty dims), random
     /// operands, `Simd` vs the saturating oracle, bit for bit.
     #[test]
     fn qsimd_matches_naive_bitwise(
@@ -106,20 +147,14 @@ proptest! {
     /// certificate fails.
     #[test]
     fn certificate_boundary_flips_exactly_and_all_backends_agree(seed in 0u64..1 << 40) {
-        // 65538 × 32767 = 2_147_483_646 = i32::MAX - 1.
-        let full = 65538usize;
         let sign = |i: usize| if (seed >> (i % 40)) & 1 == 0 { 1i16 } else { -1i16 };
-        let base: Vec<Q8_8> = (0..full).map(|i| Q8_8::from_raw(32767 * sign(i))).collect();
-        let mut at = base.clone();
-        at.push(Q8_8::from_raw(sign(7)));        // L1 = i32::MAX
-        let mut above = base.clone();
-        above.push(Q8_8::from_raw(2 * sign(11))); // L1 = i32::MAX + 1
+        let [base, at, above] = boundary_rows(seed);
         let zero = Q8_8::from_raw(0);
-        prop_assert!(row_safe(&base, zero, 1), "one below the bound must certify");
-        prop_assert!(!row_safe(&at, zero, 1), "at the bound must not certify");
-        prop_assert!(!row_safe(&above, zero, 1), "above the bound must not certify");
+        prop_assert!(row_safe(l1(&base), zero, 1), "one below the bound must certify");
+        prop_assert!(!row_safe(l1(&at), zero, 1), "at the bound must not certify");
+        prop_assert!(!row_safe(l1(&above), zero, 1), "above the bound must not certify");
 
-        let n = 4usize; // = QMIN_N: the smallest width the lane path accepts
+        let n = 4usize; // one whole column tile; skinny widths below
         for arow in [&base, &at, &above] {
             let k = arow.len();
             // ±1 entries keep max|b| = 1 while exercising sign mixes.
@@ -163,6 +198,148 @@ fn qsimd_banded_matches_naive_at_every_pool_size() {
     });
 }
 
+/// Contract 2 at skinny widths: one product mixing certified rows, rows
+/// exactly at / one below / one above the bound, and rows that
+/// genuinely saturate, at `n ∈ {1, 2, 3}` (the batch-1…3 FC
+/// shape: no whole column tile, every certified dot a column tail) and
+/// `n ∈ {4, 5}` (a tile, a tile plus tail). Every backend, at every
+/// pool width and under [`simd::force_scalar`], equals the oracle bit
+/// for bit.
+#[test]
+fn skinny_products_mixing_certified_and_saturating_rows_match_naive() {
+    let _gate = scalar_gate();
+    let seed = 0x5EED_u64;
+    let [base, at, above] = boundary_rows(seed);
+    // Zero padding keeps every L1; the extra length lets a row climb
+    // to the i32 rail and come back down.
+    let k = 2 * at.len();
+    let pad = |mut r: Vec<Q8_8>| {
+        r.resize(k, Q8_8::from_raw(0));
+        r
+    };
+    let (big, neg) = (Q8_8::from_raw(32767), Q8_8::from_raw(-32767));
+    let rows = [
+        pad(base),
+        pad(at),
+        pad(above),
+        // Reaches the rail on its last nonzero product: saturation
+        // gives +MAX, a wrapping add would give a large negative.
+        pad(vec![big; k / 2]),
+        qfill(k, seed),
+        // Climbs past the rail, then falls by as much: the saturating
+        // chain ends just below zero, an exact sum at zero.
+        (0..k).map(|i| if i < k / 2 { big } else { neg }).collect(),
+    ];
+    let m = rows.len();
+    let a: Vec<Q8_8> = rows.concat();
+    let zero = Q8_8::from_raw(0);
+    // max|b| = 1 below, so zero-bias rows certify iff L1 < i32::MAX.
+    let verdicts: Vec<bool> = rows.iter().map(|r| row_safe(l1(r), zero, 1)).collect();
+    assert_eq!(verdicts, [true, false, false, false, true, false]);
+    let bias = vec![zero; m];
+    for n in 1..=5usize {
+        // Column 0 all +1 (the saturating rows hit the rail), the rest
+        // ±1: max|b| = 1 either way.
+        let bt: Vec<Q8_8> = (0..n * k)
+            .map(|i| {
+                let flip = i >= k && (i * 7 / 3) % 2 == 1;
+                Q8_8::from_raw(if flip { -1 } else { 1 })
+            })
+            .collect();
+        let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+        assert_eq!(want[3 * n], Q8_8::MAX, "row 3 must saturate high");
+        assert_eq!(
+            want[5 * n],
+            Q8_8::from_raw(-128),
+            "row 5 must fall from the rail"
+        );
+        sweep_pools(|pool_threads| {
+            for be in QGemmBackend::ALL {
+                let got = qmm(be, &a, &bt, &bias, m, k, n);
+                assert_eq!(qbits(&want), qbits(&got), "{be} n={n} pool={pool_threads}");
+            }
+        });
+        let _guard = simd::force_scalar();
+        for be in QGemmBackend::ALL {
+            let got = qmm(be, &a, &bt, &bias, m, k, n);
+            assert_eq!(qbits(&want), qbits(&got), "{be} n={n} forced scalar");
+        }
+    }
+}
+
+/// Rewrites parameter tensor `index` of `net` through the public
+/// weight format ([`Network::save_weights`]: magic, tensor count, then
+/// per tensor its rank, dims and `f32` payload, little-endian).
+fn edit_param(net: &mut Network, index: usize, edit: impl FnOnce(&mut [f32])) {
+    let mut bytes = net.save_weights();
+    let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap()) as usize;
+    let mut pos = 8;
+    let mut len = 0;
+    for _ in 0..=index {
+        pos += 4 * len; // skip the previous tensor's payload
+        let rank = word(&bytes, pos);
+        len = (0..rank).map(|d| word(&bytes, pos + 4 + 4 * d)).product();
+        pos += 4 + 4 * rank;
+    }
+    let payload = &mut bytes[pos..pos + 4 * len];
+    let mut vals: Vec<f32> = payload
+        .chunks(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    edit(&mut vals);
+    for (c, v) in payload.chunks_mut(4).zip(vals) {
+        c.copy_from_slice(&v.to_le_bytes());
+    }
+    net.load_weights(&bytes)
+        .expect("edited weights keep the format");
+}
+
+/// Contract 2 end to end: a snapshot with one deliberately
+/// uncertifiable weight row. FC4's weights are zeroed and its bias set
+/// to 50.0, so every FC5 input is exactly 50.0, and FC5's first row is
+/// sixteen `+127` then sixteen `-127`: its exact sum is 0, but the
+/// saturating chain clamps high and then falls to the low rail. FC5's
+/// other rows stay certified. The batch-1 and batch-2
+/// forwards on every backend, at every pool width and under
+/// [`simd::force_scalar`], equal the `Naive` forward bit for bit.
+#[test]
+fn quantized_net_with_an_uncertifiable_row_matches_naive_at_batch_1_and_2() {
+    let _gate = scalar_gate();
+    let spec = NetworkSpec::micro(16, 1, 5);
+    let mut net = spec.build(13);
+    // Parameter tensors: CONV1..5 (w, b) are 0..=9, FC1..5 are 10..=19.
+    edit_param(&mut net, 16, |fc4_weight| fc4_weight.fill(0.0));
+    edit_param(&mut net, 17, |fc4_bias| fc4_bias.fill(50.0));
+    edit_param(&mut net, 18, |fc5_weight| {
+        let row0 = &mut fc5_weight[..32]; // [actions × 32], row-major
+        row0[..16].fill(127.0);
+        row0[16..].fill(-127.0);
+    });
+    let mut q = QuantizedNet::from_network(&spec, &net).expect("spec-built net");
+    for n in [1usize, 2] {
+        let x = Tensor::from_vec(&[n, 1, 16, 16], fill01(n * 256, 40 + n as u64));
+        q.set_backend(QGemmBackend::Naive);
+        let want = bits(q.forward_batch(&x, &mut QWorkspace::new()).data());
+        for i in 0..n {
+            assert_eq!(
+                want[i * 5],
+                Q8_8::MIN.to_f32().to_bits(),
+                "FC5 row 0 must end on the low rail (sample {i})"
+            );
+        }
+        let mut check = |label: &str| {
+            for be in QGemmBackend::ALL {
+                q.set_backend(be);
+                let got = bits(q.forward_batch(&x, &mut QWorkspace::new()).data());
+                assert_eq!(want, got, "{be} batch={n} {label}");
+            }
+        };
+        sweep_pools(|pool_threads| check(&format!("pool={pool_threads}")));
+        let _guard = simd::force_scalar();
+        check("forced scalar");
+    }
+}
+
 /// Contract 3: under [`simd::force_scalar`] the SIMD tier is inert —
 /// `simd_active()` reports off, the f32 backend produces `Blocked`'s
 /// bits and the integer backend the oracle's — and activity resumes
@@ -170,6 +347,7 @@ fn qsimd_banded_matches_naive_at_every_pool_size() {
 /// matrix's `NN_SIMD=off` leg, runnable on any host.
 #[test]
 fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
+    let _gate = scalar_gate();
     let was_active = simd::simd_active();
     {
         let _guard = simd::force_scalar();

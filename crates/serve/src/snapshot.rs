@@ -20,8 +20,13 @@ use mramrl_rl::{LearnerHook, QAgent};
 /// `(net, generation)` with **one** [`SnapshotStore::snapshot`] call per
 /// flush, so the generation they stamp on responses is exactly the
 /// snapshot they computed with.
+///
+/// The observation shape is fixed when the store is built: every
+/// published snapshot must expect the same `[C, H, W]` input, so a
+/// request validated against it fits whichever generation serves it.
 #[derive(Debug)]
 pub struct SnapshotStore {
+    input_shape: [usize; 3],
     current: Mutex<Slot>,
 }
 
@@ -35,6 +40,7 @@ impl SnapshotStore {
     /// Creates a store serving `initial` as generation 0.
     pub fn new(initial: Arc<QuantizedNet>) -> Self {
         Self {
+            input_shape: initial.spec().input_shape,
             current: Mutex::new(Slot {
                 net: initial,
                 generation: 0,
@@ -58,7 +64,20 @@ impl SnapshotStore {
     /// The swap happens under a short lock; the previous snapshot stays
     /// alive for exactly as long as in-flight batches still reference
     /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` expects a different input shape than the store
+    /// serves. The check runs here, in the publisher's thread and
+    /// before the lock is taken, so the live generation, the lock and
+    /// the serving worker are untouched: a worker handed such a net
+    /// would panic mid-flush and leave every waiting `decide` hanging.
     pub fn publish(&self, net: Arc<QuantizedNet>) -> u64 {
+        assert_eq!(
+            net.spec().input_shape,
+            self.input_shape,
+            "published snapshot's input shape does not match the served network input"
+        );
         let mut slot = self.current.lock().expect("snapshot store poisoned");
         slot.generation += 1;
         slot.net = net;
@@ -86,12 +105,7 @@ impl SnapshotStore {
     /// The `[C, H, W]` observation shape the live snapshot expects —
     /// what each [`crate::ObsRequest`] observation must match.
     pub fn input_shape(&self) -> [usize; 3] {
-        self.current
-            .lock()
-            .expect("snapshot store poisoned")
-            .net
-            .spec()
-            .input_shape
+        self.input_shape
     }
 }
 

@@ -302,6 +302,46 @@ fn live_service_coalesces_under_load() {
 }
 
 #[test]
+fn mismatched_publish_panics_in_the_caller_and_serving_continues() {
+    let net = qnet(42, QGemmBackend::Blocked);
+    let store = Arc::new(SnapshotStore::new(Arc::clone(&net)));
+    let service = Service::spawn(Arc::clone(&store), ServeConfig::default());
+    let obs = obs_set(3);
+    let expected = expected_actions(&net, &obs);
+
+    // A 20×20 snapshot into a store serving 16×16 frames.
+    let wide_spec = NetworkSpec::micro(20, 1, 5);
+    let wide = QuantizedNet::from_network(&wide_spec, &wide_spec.build(7)).expect("valid spec");
+    let publish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        store.publish(Arc::new(wide));
+    }));
+    assert!(publish.is_err(), "an incompatible publish must panic");
+    assert_eq!(store.generation(), 0, "the rejected net was not published");
+
+    // Later decides are answered by generation 0. They run on a helper
+    // thread so a regression fails here instead of hanging the suite.
+    let client = service.client();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let asker = std::thread::spawn(move || {
+        for (i, o) in obs.iter().enumerate() {
+            tx.send(client.decide(i as u64, o.clone()))
+                .expect("test alive");
+        }
+    });
+    for (i, want) in expected.iter().enumerate() {
+        let d = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("decide must be answered after a rejected publish");
+        assert_eq!((d.action, d.generation), (*want, 0), "obs {i}");
+    }
+    asker.join().expect("client thread");
+
+    // The store still takes compatible publishes.
+    assert_eq!(store.publish(qnet(7, QGemmBackend::Blocked)), 1);
+    service.shutdown();
+}
+
+#[test]
 fn live_service_pool_injection_changes_nothing() {
     let backend = QGemmBackend::Pooled;
     let net = qnet(42, backend);

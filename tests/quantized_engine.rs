@@ -5,7 +5,7 @@
 use mramrl::env::{DepthCamera, VecEnv};
 use mramrl::fixed::Q8_8;
 use mramrl::mem::{PlacementPlan, PlacementRequest, StorageClass};
-use mramrl::nn::qgemm::QGemmBackend;
+use mramrl::nn::qgemm::{row_l1_norms, QGemmBackend};
 use mramrl::rl::{evaluate_vec, ActingPrecision};
 use mramrl::systolic::{ArraySpec, FcArraySim};
 use mramrl::{DroneEnv, EnvKind, NetworkSpec, QAgent};
@@ -43,9 +43,10 @@ fn systolic_batched_fc_matches_qgemm_engine_bitwise() {
         let wq: Vec<Q8_8> = w.iter().map(|&v| Q8_8::from_f32(v)).collect();
         let bq: Vec<Q8_8> = b.iter().map(|&v| Q8_8::from_f32(v)).collect();
         let xq: Vec<Q8_8> = xs.iter().map(|&v| Q8_8::from_f32(v)).collect();
+        let l1 = row_l1_norms(&wq, out_f, in_f);
         for be in QGemmBackend::ALL {
             let mut c = vec![Q8_8::ZERO; out_f * n];
-            be.matmul_bt_bias_requant_into(&mut c, &wq, &xq, &bq, out_f, in_f, n);
+            be.matmul_bt_bias_requant_into(&mut c, &wq, &l1, &xq, &bq, out_f, in_f, n);
             for v in 0..n {
                 for j in 0..out_f {
                     assert_eq!(
