@@ -16,7 +16,7 @@
 //! cannot drift apart.
 //!
 //! Knobs: `NN_POOL_THREADS` (sizes the persistent worker pool the
-//! threaded backend's batch/band fan-out runs on — see
+//! per-sample conv tasks and row bands run on — see
 //! `docs/threading.md`), `NN_GEMM_THREADS`, `CRITERION_BUDGET_MS`.
 //! For an in-process pool sweep use `bench_batch_json --pool-threads N`
 //! instead, which injects pools of each size.

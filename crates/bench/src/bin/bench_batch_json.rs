@@ -12,18 +12,17 @@
 //!
 //! The pool sweep injects a fresh `mramrl_nn::pool::ThreadPool` per
 //! `threads` cell (the injectable-handle path — no env games) and times
-//! **every** backend at every pool size: `naive`/`blocked` also reach
-//! the pool through the agent's join2 overlap of the target/online
-//! forwards, so their cells are not thread-invariant. Acceptance bars
-//! recorded in the JSON: `batched(32) ≥ 2× serial(32)` on the blocked
-//! backend at one thread, and — on a multi-core runner — threaded
-//! batched(32) ≥ 1.5× blocked batched(32) at the same pool size.
+//! every backend at every pool size: every non-naive kernel runs its
+//! per-sample conv tasks and product row bands on that pool. Acceptance
+//! bars recorded in the JSON: `batched(32) ≥ 2× serial(32)` on the
+//! blocked backend at one thread, and — on a multi-core runner —
+//! blocked batched(32) at pool t ≥ 1.5× blocked batched(32) at pool 1.
 //!
 //! A **quantised-inference cell family** rides along (modes
 //! `infer-f32` / `infer-q8.8` / `infer-q8.8-serial`): the Q8.8
 //! deployment engine (`mramrl_nn::quant`, `docs/fixed_point.md`) at
-//! batch 1/8/32 per integer backend (naive/blocked/pooled) and pool
-//! size, next to the float forward on the same weights and frames. The
+//! batch 1/8/32 per integer backend (naive/blocked) and pool size,
+//! next to the float forward on the same weights and frames. The
 //! JSON records the per-backend `q8.8 batched(32) / serial(32)` speedup
 //! (bar: ≥ 4× on blocked) and the float-vs-Q8.8 throughput ratio.
 //!
@@ -41,10 +40,11 @@
 //! A **raw certified-GEMM cell family** (mode `qgemm-conv1`) times the
 //! integer kernel alone on the paper's CONV1 product (96×363×3025 —
 //! the full-size AlexNet's first im2col GEMM; 32×363×256 under
-//! `--tiny`) on the `blocked` and `simd` integer backends, recording
-//! GMAC/s and the `speedup_qgemm_simd_vs_blocked` key (bar: ≥ 1.5× on
-//! AVX2 hosts; honestly recorded either way — on non-x86 hosts `simd`
-//! falls back to the pooled kernel and the ratio documents that).
+//! `--tiny`) on the blocked integer kernel with its `pmaddwd` lanes
+//! (`blocked`) and under a `force_scalar` guard (`blocked-scalar`),
+//! recording GMAC/s and the `speedup_qgemm_lanes_vs_scalar` key (bar:
+//! ≥ 1.5× on AVX2 hosts; honestly recorded either way — without AVX2
+//! both cells run the scalar dots and the ratio documents that).
 //!
 //! Flags: `--reps N` (timed repetitions per cell, default 10),
 //! `--backend <name>` narrows to one backend, `--pool-threads N` sets
@@ -129,10 +129,6 @@ fn main() {
         let pool = ThreadPool::new(threads);
         let _installed = pool.install();
         for &be in &backends {
-            // Every backend is re-timed at every pool size: even
-            // naive/blocked reach the pool through the agent's join2
-            // overlap of the target/online forwards, so their cells are
-            // NOT thread-invariant.
             for n in BATCH_TD_SIZES {
                 let refs: Vec<&Transition> = ts[..n].iter().collect();
                 let batch = TransitionBatch::from_transitions(&refs);
@@ -169,10 +165,14 @@ fn main() {
         // (batch 1/8/32 × integer backend) next to the float forward on
         // the same weights and frames, plus the serial-32 baseline
         // (32 × the batch-of-1 wrapper, workspace churn included — the
-        // pre-engine per-image deployment pattern).
+        // pre-engine per-image deployment pattern). Float kernels that
+        // share an integer backend time the Q8.8 engine once.
+        let mut q_timed = Vec::new();
         for &be in &backends {
             let qnet = batch_td_qnet(&spec, be);
             let qbe = qnet.backend();
+            let time_q = !q_timed.contains(&qbe);
+            q_timed.push(qbe);
             let mut fnet = spec.build(42);
             fnet.set_gemm_backend(be);
             for n in BATCH_TD_SIZES {
@@ -188,6 +188,9 @@ fn main() {
                     threads,
                     ns_per_transition: ns,
                 });
+                if !time_q {
+                    continue;
+                }
                 let mut qws = QWorkspace::for_net(&qnet);
                 let ns = time_ns(reps, || {
                     let _ = qnet.forward_batch(&obs, &mut qws);
@@ -199,6 +202,9 @@ fn main() {
                     threads,
                     ns_per_transition: ns,
                 });
+            }
+            if !time_q {
+                continue;
             }
             let singles: Vec<mramrl_nn::Tensor> =
                 (0..ts.len()).map(|i| (*ts[i].state).clone()).collect();
@@ -217,8 +223,9 @@ fn main() {
         }
 
         // Raw certified-GEMM cell family: the integer kernel alone on
-        // the paper's CONV1 im2col product, blocked vs simd — the
-        // head-to-head the SIMD tier's acceptance bar is read from.
+        // the paper's CONV1 im2col product, on its lanes vs forced
+        // scalar — the head-to-head the SIMD tier's acceptance bar is
+        // read from.
         // `ns_per_transition` holds ns per whole GEMM call here.
         let (qm, qk, qn) = if tiny {
             (32usize, 363usize, 256usize)
@@ -230,15 +237,14 @@ fn main() {
         let qbt = mramrl_nn::difftest::qfill(qn * qk, 1002);
         let qbias = mramrl_nn::difftest::qfill(qm, 1003);
         let mut qc = vec![mramrl_fixed::Q8_8::from_raw(0); qm * qn];
-        for qbe in [
-            mramrl_nn::QGemmBackend::Blocked,
-            mramrl_nn::QGemmBackend::Simd,
-        ] {
+        for (label, scalar) in [("blocked", false), ("blocked-scalar", true)] {
+            let _scalar = scalar.then(mramrl_nn::simd::force_scalar);
             let ns = time_ns(reps, || {
-                qbe.matmul_bt_bias_requant_into(&mut qc, &qa, &ql1, &qbt, &qbias, qm, qk, qn);
+                mramrl_nn::QGemmBackend::Blocked
+                    .matmul_bt_bias_requant_into(&mut qc, &qa, &ql1, &qbt, &qbias, qm, qk, qn);
             });
             cells.push(Cell {
-                backend: qbe.name(),
+                backend: label,
                 mode: "qgemm-conv1",
                 batch: qm,
                 threads,
@@ -353,8 +359,11 @@ fn main() {
     // Quantised acceptance bar: batched(32) engine inference over the
     // serial-32 batch-of-1 wrapper, per integer backend, single thread
     // (the ≥ 4× bar is on the blocked backend).
-    let mut q_speedups = Vec::new();
+    let mut q_speedups: Vec<(String, f64)> = Vec::new();
     for &be in &backends {
+        if q_speedups.iter().any(|(name, _)| name == qname(be)) {
+            continue; // float kernels sharing one integer backend
+        }
         if let (Some(b32), Some(s32)) = (
             ns_of(qname(be), "infer-q8.8", 1),
             ns_of(qname(be), "infer-q8.8-serial", 1),
@@ -402,33 +411,33 @@ fn main() {
     };
     let macs = (qm * qk * qn) as f64;
     let mut qgemm_gmacs = Vec::new();
-    for backend in ["blocked", "simd"] {
+    for backend in ["blocked", "blocked-scalar"] {
         if let Some(ns) = qgemm_ns(backend) {
             let g = macs / ns;
             println!("qgemm conv1 ({qm}x{qk}x{qn}) on {backend}: {g:.2} GMAC/s");
             qgemm_gmacs.push((backend.to_string(), g));
         }
     }
-    let qgemm_speedup = match (qgemm_ns("blocked"), qgemm_ns("simd")) {
-        (Some(bl), Some(si)) => {
-            let s = bl / si;
-            println!("speedup qgemm simd vs blocked (conv1 shape): {s:.2}x");
+    let qgemm_speedup = match (qgemm_ns("blocked-scalar"), qgemm_ns("blocked")) {
+        (Some(sc), Some(la)) => {
+            let s = sc / la;
+            println!("speedup qgemm lanes vs scalar (conv1 shape): {s:.2}x");
             Some(s)
         }
         _ => None,
     };
 
-    // The multi-core bar: threaded batched(32) against blocked
-    // batched(32) at the SAME pool size (blocked also gets the pool's
-    // join2 forward overlap, so same-size cells are the fair baseline).
+    // The multi-core bar: blocked batched(32) on a t-executor pool
+    // against the same cell on one executor — the parallel schedule
+    // (per-sample conv tasks, product row bands) against serial.
     let mut multicore = Vec::new();
     for &t in thread_counts.iter().filter(|&&t| t > 1) {
-        if let (Some(th), Some(bl)) = (
-            ns_of("threaded", "batched", t),
+        if let (Some(par), Some(ser)) = (
             ns_of("blocked", "batched", t),
+            ns_of("blocked", "batched", 1),
         ) {
-            let s = bl / th;
-            println!("speedup threaded batched(32) vs blocked batched(32) @ {t} threads: {s:.2}x");
+            let s = ser / par;
+            println!("speedup blocked batched(32) @ {t} threads vs @ 1 thread: {s:.2}x");
             multicore.push((t, s));
         }
     }
@@ -525,7 +534,7 @@ fn main() {
         mramrl_nn::simd::available()
     ));
     json.push_str(&format!(
-        "  \"speedup_qgemm_simd_vs_blocked\": {},\n",
+        "  \"speedup_qgemm_lanes_vs_scalar\": {},\n",
         qgemm_speedup.map_or("null".to_string(), |s| format!("{s:.3}"))
     ));
     json.push_str(&format!(
@@ -552,7 +561,7 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"speedup_threaded_batched32_vs_blocked_batched32\": {");
+    json.push_str("  \"speedup_blocked_batched32_pool_t_vs_pool_1\": {");
     for (i, (t, s)) in multicore.iter().enumerate() {
         json.push_str(&format!(
             "{}\"{t}\": {s:.3}",

@@ -183,13 +183,15 @@ fn bench_batch_json_runs_tiny() {
         "\"backend\": \"blocked\"",
         // The SIMD tier's cells and acceptance keys (schema-pinned:
         // present even when the host has no AVX2 — the simd backend
-        // then measures its blocked/pooled fallback).
+        // and the integer lanes then measure their scalar fallback).
         "\"backend\": \"simd\"",
+        "\"backend\": \"blocked-scalar\"",
         "\"mode\": \"qgemm-conv1\"",
         "\"qgemm_conv1_gmacs\"",
         "\"qgemm_conv1_shape\": [32, 363, 256]",
         "\"simd_available\"",
-        "\"speedup_qgemm_simd_vs_blocked\"",
+        "\"speedup_qgemm_lanes_vs_scalar\"",
+        "\"speedup_blocked_batched32_pool_t_vs_pool_1\"",
         // The actor/learner train-throughput family: the single-fleet
         // baseline, the parallel cells, and the regime accounting.
         "\"mode\": \"train-vec\"",
@@ -202,7 +204,7 @@ fn bench_batch_json_runs_tiny() {
         assert!(json.contains(needle), "JSON missing {needle}:\n{json}");
     }
     assert!(
-        stdout.contains("speedup qgemm simd vs blocked"),
+        stdout.contains("speedup qgemm lanes vs scalar"),
         "no qgemm speedup line:\n{stdout}"
     );
     assert!(

@@ -1,6 +1,6 @@
 //! The `dse-determinism` gate: the full fleet-scale report (minus its
 //! timing section) is **byte-identical** across pool sizes {1, 2, 7}
-//! and the bitwise GEMM backend selections. The sweep's scoring is pure
+//! and the GEMM backend selections. The sweep's scoring is pure
 //! analytic arithmetic — no RNG, no clock, no GEMM — and the parallel
 //! scatter uses a pool-width-independent chunk grid, so neither knob
 //! may move a single byte.
@@ -24,7 +24,7 @@ fn fleet_report_is_byte_identical_across_pools_and_backends() {
     let ref_csv = render_csv(&results, &frontier);
     assert!(!frontier.is_empty());
 
-    for backend in ["naive", "blocked", "threaded"] {
+    for backend in ["naive", "blocked", "simd"] {
         // The scoring path must not read the backend knob at all; CI
         // also re-runs the whole binary under each value to catch any
         // init-time coupling.

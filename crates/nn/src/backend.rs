@@ -9,19 +9,25 @@
 //! |------------|------------------------------------------------|-----|
 //! | [`GemmBackend::Naive`]    | reference triple loops ([`crate::gemm::matmul`]) | correctness oracle |
 //! | [`GemmBackend::Blocked`]  | k-panel packed, `MR×NR` register-tiled kernel   | default |
-//! | [`GemmBackend::Threaded`] | row bands on the persistent [`crate::pool`] over the blocked kernel | large shapes / multi-core |
-//! | [`GemmBackend::Simd`]     | explicit AVX2+FMA lane kernel ([`crate::simd`]), pool row bands, blocked fallback | max single-core throughput |
+//! | [`GemmBackend::Simd`]     | explicit AVX2+FMA lane kernel ([`crate::simd`]), blocked fallback | max single-core throughput |
+//!
+//! The kernel is the arithmetic; the schedule — how the work spreads
+//! over the persistent [`crate::pool`] — is not a backend choice. One
+//! rule, [`bands`], splits every large non-naive product into
+//! contiguous output-row bands on the pool, and the batched conv
+//! passes run one pool task per sample on every non-naive kernel (see
+//! `docs/threading.md`).
 //!
 //! # Summation-order contract (exactness policy)
 //!
-//! The [`GemmBackend::BITWISE`] backends (naive/blocked/threaded)
-//! compute every output element with a **single accumulator** and add
-//! contributions in **ascending order of the contraction index** (`k`
-//! for `A·B`, the shared row index `i` for `Aᵀ·B`). Rust never
-//! re-associates float arithmetic and no FMA contraction is emitted
-//! from safe code here, so those three backends are **bit-for-bit
-//! identical** — signed zeros included, and with `NaN`s in exactly the
-//! same positions. The single carve-out: `NaN` *payload* bits are
+//! The [`GemmBackend::BITWISE`] backends (naive/blocked) compute every
+//! output element with a **single accumulator** and add contributions
+//! in **ascending order of the contraction index** (`k` for `A·B`, the
+//! shared row index `i` for `Aᵀ·B`). Rust never re-associates float
+//! arithmetic and no FMA contraction is emitted from safe code here, so
+//! those backends are **bit-for-bit identical** at any band count —
+//! signed zeros included, and with `NaN`s in exactly the same
+//! positions. The single carve-out: `NaN` *payload* bits are
 //! unspecified by IEEE-754 (LLVM may commute float operands), so only
 //! `NaN`-ness, not the payload, is guaranteed. The equivalence
 //! proptests in `crates/nn/tests/gemm_backends.rs` assert this with
@@ -39,15 +45,17 @@
 //!
 //! # Environment knobs
 //!
-//! * `NN_GEMM_BACKEND` — `naive` | `blocked` | `threaded` | `simd`;
-//!   the process-wide default returned by [`default_backend`]
-//!   (default: `blocked`). Parsed by [`env_backend_knob`], which warns
-//!   on stderr for unknown values instead of silently defaulting.
+//! * `NN_GEMM_BACKEND` — `naive` | `blocked` | `simd`; the
+//!   process-wide default returned by [`default_backend`] (default:
+//!   `blocked`). Parsed by [`env_backend_knob`], which warns on stderr
+//!   for unknown values instead of silently defaulting. The retired
+//!   schedule names `threaded` and `pooled` warn the same way and run
+//!   `blocked`, which now bands over the pool by itself.
 //! * `NN_SIMD` — `auto` (default) | `off`: forces
 //!   [`GemmBackend::Simd`] onto its blocked scalar fallback even where
 //!   feature detection would pick the lane kernels
 //!   ([`crate::simd::simd_active`]).
-//! * `NN_GEMM_THREADS` — row-band count for [`GemmBackend::Threaded`]
+//! * `NN_GEMM_THREADS` — row-band count of a banded product ([`bands`])
 //!   (default: the [`crate::pool`]'s executor count, i.e.
 //!   `NN_POOL_THREADS` or the machine's available parallelism). Parsed
 //!   by [`crate::pool::env_thread_knob`], which warns on stderr for
@@ -87,8 +95,8 @@ const NR: usize = 8;
 /// sweeps it.
 const NC: usize = 512;
 
-/// Below this many multiply-accumulates a threaded launch costs more than
-/// it saves; [`GemmBackend::Threaded`] falls back to the blocked kernel.
+/// Below this many multiply-accumulates a pool launch costs more than it
+/// saves, so [`bands`] keeps the product in one band.
 ///
 /// Rationale, with numbers measured on the dev container: the blocked
 /// kernel sustains ≈ 10.5 GMAC/s single-core (64³ = 262 k MACs ≈ 23 µs,
@@ -116,15 +124,9 @@ pub enum GemmBackend {
     /// Cache-blocked, k-panel-packed, `MR×NR` register-tiled kernel.
     #[default]
     Blocked,
-    /// Row-band multi-threading on the persistent [`crate::pool`] over
-    /// the blocked kernel; band count from `NN_GEMM_THREADS` (default:
-    /// the pool's executor count). Also unlocks batch-level sample
-    /// parallelism in the batched conv passes.
-    Threaded,
-    /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) with the same
-    /// pool row-band scatter as `Threaded`, under the documented FMA
-    /// **tolerance tier** (equal to the bitwise family to rounding,
-    /// bitwise self-consistent across batch/band/pool). Falls back to
+    /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) under the
+    /// documented FMA **tolerance tier** (equal to the bitwise family
+    /// to rounding, bitwise self-consistent across batch/band/pool). Falls back to
     /// the blocked kernel — bit for bit — when the host lacks
     /// AVX2+FMA, when `NN_SIMD=off`, or under a test's
     /// [`crate::simd::force_scalar`] guard.
@@ -134,29 +136,19 @@ pub enum GemmBackend {
 impl GemmBackend {
     /// All backends, oracle first — handy for benches and equivalence
     /// tests.
-    pub const ALL: [GemmBackend; 4] = [
-        GemmBackend::Naive,
-        GemmBackend::Blocked,
-        GemmBackend::Threaded,
-        GemmBackend::Simd,
-    ];
+    pub const ALL: [GemmBackend; 3] = [GemmBackend::Naive, GemmBackend::Blocked, GemmBackend::Simd];
 
     /// The backends under the bit-for-bit summation-order contract
     /// (everything but the FMA tolerance tier) — the sweep cross-backend
     /// bitwise tests run over. [`GemmBackend::Simd`] is excluded: it is
     /// bitwise only against itself, and equal to these to rounding.
-    pub const BITWISE: [GemmBackend; 3] = [
-        GemmBackend::Naive,
-        GemmBackend::Blocked,
-        GemmBackend::Threaded,
-    ];
+    pub const BITWISE: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Blocked];
 
     /// Stable lowercase name (the `NN_GEMM_BACKEND` / `--backend` token).
     pub fn name(self) -> &'static str {
         match self {
             GemmBackend::Naive => "naive",
             GemmBackend::Blocked => "blocked",
-            GemmBackend::Threaded => "threaded",
             GemmBackend::Simd => "simd",
         }
     }
@@ -168,7 +160,9 @@ impl GemmBackend {
         env_backend_knob("NN_GEMM_BACKEND").unwrap_or_default()
     }
 
-    /// Dense row-major `C[m×n] = A[m×k] · B[k×n]` with this backend.
+    /// Dense row-major `C[m×n] = A[m×k] · B[k×n]` with this backend;
+    /// non-naive kernels split large products into pool row bands
+    /// ([`bands`]), which never changes a bit.
     ///
     /// # Panics
     ///
@@ -191,12 +185,37 @@ impl GemmBackend {
         assert_eq!(a.len(), m * k, "A dimensions");
         assert_eq!(b.len(), k * n, "B dimensions");
         assert_eq!(c.len(), m * n, "C dimensions");
-        match self {
-            GemmBackend::Naive => crate::gemm::matmul_into(c, a, b, m, k, n),
-            GemmBackend::Blocked => matmul_blocked_into(c, a, b, m, k, n),
-            GemmBackend::Threaded => matmul_threaded_into(c, a, b, m, k, n),
-            GemmBackend::Simd => matmul_simd_into(c, a, b, m, k, n),
+        let lanes = match self {
+            GemmBackend::Naive => return crate::gemm::matmul_into(c, a, b, m, k, n),
+            GemmBackend::Blocked => false,
+            GemmBackend::Simd => crate::simd::simd_active(),
+        };
+        // Every element is computed by exactly one band with the
+        // kernel's own chain, so the band count is invisible to the bits.
+        let band = |c: &mut [f32], a: &[f32], rows: usize| {
+            if lanes {
+                crate::simd::matmul_band_f32(c, a, b, rows, k, n);
+            } else {
+                matmul_blocked_into(c, a, b, rows, k, n);
+            }
+        };
+        // Bands hold whole `MR`-row panels: a ragged band would push its
+        // rows onto the kernel's scalar row tail.
+        let t = if n < 8 {
+            1
+        } else {
+            bands(m.div_ceil(MR), m * k * n, PAR_MIN_MACS)
+        };
+        if t <= 1 {
+            band(c, a, m);
+            return;
         }
+        let band_rows = m.div_ceil(t).next_multiple_of(MR);
+        crate::pool::current().scatter_chunks(c, band_rows * n, |i, cband| {
+            let rows = cband.len() / n;
+            let aband = &a[i * band_rows * k..(i * band_rows + rows) * k];
+            band(cband, aband, rows);
+        });
     }
 
     /// `C[k×n] = A[m×k]ᵀ · B[m×n]` without materialising the transpose
@@ -229,22 +248,32 @@ impl GemmBackend {
         assert_eq!(a.len(), m * k, "A dimensions");
         assert_eq!(b.len(), m * n, "B dimensions");
         assert_eq!(c.len(), k * n, "C dimensions");
-        match self {
-            GemmBackend::Naive => crate::gemm::matmul_at_b_into(c, a, b, m, k, n),
-            GemmBackend::Blocked => {
-                c.fill(0.0);
-                at_b_band(c, a, b, m, k, n, 0, k);
-            }
-            // The backward contraction stays in the bitwise family:
-            // `Aᵀ·B` is a rank-1-update sweep (no contiguous dots to
-            // hand the FMA lanes without changing its ascending-`i`
-            // chain shape), so `Simd` delegates to the pooled blocked
-            // kernel — batched-training gradients keep the exact bits
-            // PR 3/4 pinned, and only forwards ride the tolerance tier.
-            GemmBackend::Threaded | GemmBackend::Simd => {
-                matmul_at_b_threaded_into(c, a, b, m, k, n)
-            }
+        if self == GemmBackend::Naive {
+            return crate::gemm::matmul_at_b_into(c, a, b, m, k, n);
         }
+        // The backward contraction stays in the bitwise family: `Aᵀ·B`
+        // is a rank-1-update sweep (no contiguous dots to hand the FMA
+        // lanes without changing its ascending-`i` chain shape), so
+        // `Simd` runs the blocked kernel too — batched-training
+        // gradients keep their exact bits, and only forwards ride the
+        // tolerance tier. The `k` output rows split into pool bands;
+        // every band sweeps all `m` input rows in ascending order over
+        // its own zeroed slice, so banding is invisible to the bits.
+        let t = if n == 0 {
+            1
+        } else {
+            bands(k, m * k * n, PAR_MIN_MACS)
+        };
+        if t <= 1 {
+            c.fill(0.0);
+            at_b_band(c, a, b, m, k, n, 0, k);
+            return;
+        }
+        let band_rows = k.div_ceil(t);
+        crate::pool::current().scatter_chunks(c, band_rows * n, |i, cband| {
+            cband.fill(0.0);
+            at_b_band(cband, a, b, m, k, n, i * band_rows, cband.len() / n);
+        });
     }
 }
 
@@ -255,10 +284,13 @@ impl FromStr for GemmBackend {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(GemmBackend::Naive),
             "blocked" => Ok(GemmBackend::Blocked),
-            "threaded" => Ok(GemmBackend::Threaded),
             "simd" => Ok(GemmBackend::Simd),
+            retired @ ("threaded" | "pooled") => Err(format!(
+                "GEMM backend {retired:?} is retired: every kernel now bands over the pool \
+                 (expected naive|blocked|simd)"
+            )),
             other => Err(format!(
-                "unknown GEMM backend {other:?} (expected naive|blocked|threaded|simd)"
+                "unknown GEMM backend {other:?} (expected naive|blocked|simd)"
             )),
         }
     }
@@ -282,7 +314,9 @@ pub fn default_backend() -> GemmBackend {
 /// Returns `None` when the variable is unset; a set-but-unknown value
 /// **warns on stderr** and returns `None` — the same
 /// complain-then-fall-back policy as [`crate::pool::env_thread_knob`],
-/// so a typo'd backend can no longer silently run blocked.
+/// so a typo'd backend can no longer silently run blocked. The retired
+/// schedule names `threaded` and `pooled` take the same route: one
+/// warning, then `blocked`.
 pub fn env_backend_knob(var: &str) -> Option<GemmBackend> {
     parse_backend_knob(var, &std::env::var(var).ok()?)
 }
@@ -300,7 +334,7 @@ fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
     }
 }
 
-/// Row-band count for [`GemmBackend::Threaded`]: `NN_GEMM_THREADS`
+/// Row-band count of a banded product ([`bands`]): `NN_GEMM_THREADS`
 /// (parsed once via [`crate::pool::env_thread_knob`] — invalid values
 /// warn on stderr and fall back), or the current [`crate::pool`]'s
 /// executor count when unset. The knob is cached; the pool fallback is
@@ -310,6 +344,21 @@ pub fn thread_count() -> usize {
     THREADS
         .get_or_init(|| crate::pool::env_thread_knob("NN_GEMM_THREADS"))
         .unwrap_or_else(crate::pool::current_threads)
+}
+
+/// The one schedule rule for a single product on both datapaths: the
+/// number of contiguous output-row bands to scatter over the pool.
+/// A product gets [`thread_count`] bands (capped at its `rows`) when it
+/// has at least `min_macs` multiply-accumulates; it stays one band when
+/// it is smaller, or when the caller already runs inside a pool task
+/// ([`crate::pool::in_task`]) — a per-sample conv task, say, where the
+/// batch axis already holds the parallelism. Bands are disjoint and
+/// each runs the kernel's own chains, so the count never changes a bit.
+pub fn bands(rows: usize, macs: usize, min_macs: usize) -> usize {
+    if macs < min_macs || crate::pool::in_task() {
+        return 1;
+    }
+    thread_count().min(rows.max(1))
 }
 
 /// Blocked `A·B` over the whole output (single thread), into `c`.
@@ -407,49 +456,6 @@ fn matmul_band(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: us
     }
 }
 
-/// Threaded `A·B`: contiguous row bands of `C` scattered over the
-/// persistent [`crate::pool`], each running the blocked kernel on its
-/// band, into `c`. Pure disjoint scatter — every output element is
-/// computed by exactly one band with the blocked kernel's summation
-/// order, so the result is bit-identical to serial at any thread count.
-fn matmul_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = thread_count().min(m.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
-        matmul_blocked_into(c, a, b, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let aband = &a[t * band_rows * k..(t * band_rows + rows) * k];
-        matmul_band(cband, aband, b, rows, k, n);
-    });
-}
-
-/// `A·B` on the explicit lane kernel: [`crate::simd::matmul_band_f32`]
-/// over pool row bands (the `Threaded` scatter, same thresholds).
-/// Every element is one ascending-`k` FMA chain wherever it lands, so
-/// banding is invisible to the bits; with the SIMD gate closed
-/// ([`crate::simd::simd_active`] false) the whole product runs the
-/// blocked kernel and the backend is bit-identical to `Blocked`.
-fn matmul_simd_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    if !crate::simd::simd_active() {
-        matmul_blocked_into(c, a, b, m, k, n);
-        return;
-    }
-    let threads = thread_count().min(m.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
-        crate::simd::matmul_band_f32(c, a, b, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let aband = &a[t * band_rows * k..(t * band_rows + rows) * k];
-        crate::simd::matmul_band_f32(cband, aband, b, rows, k, n);
-    });
-}
-
 /// Rows of `A`/`B` consumed together by one `Aᵀ·B` sweep: the output is
 /// re-streamed once per group, so 8 rows cut output traffic 8×.
 const MR_ATB: usize = 8;
@@ -522,27 +528,6 @@ fn at_b_band(
     }
 }
 
-/// Threaded `Aᵀ·B`: the `k` output rows are split into contiguous bands
-/// scattered over the persistent [`crate::pool`]; every band sweeps all
-/// `m` input rows (in ascending order, reading only its own `kks`-wide
-/// window of each `A` row) over its own slice of the output. Each band
-/// zeroes and accumulates its own slice, so the scatter is disjoint and
-/// bit-identical to serial at any thread count.
-fn matmul_at_b_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = thread_count().min(k.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n == 0 {
-        c.fill(0.0);
-        at_b_band(c, a, b, m, k, n, 0, k);
-        return;
-    }
-    let band_rows = k.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let kks = cband.len() / n;
-        cband.fill(0.0);
-        at_b_band(cband, a, b, m, k, n, t * band_rows, kks);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_threaded_match_naive_bitwise() {
+    fn blocked_matches_naive_bitwise() {
         for (m, k, n) in [
             (0usize, 3usize, 4usize),
             (3, 0, 4),
@@ -571,14 +556,12 @@ mod tests {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-            for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
-                let got = be.matmul(&a, &b, m, k, n);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{be} m={m} k={k} n={n}"
-                );
-            }
+            let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
+            assert_eq!(
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
@@ -588,7 +571,7 @@ mod tests {
             let a = fill(m * k, 3);
             let b = fill(m * n, 4);
             let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
-            for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
+            for be in [GemmBackend::Blocked, GemmBackend::Simd] {
                 let got = be.matmul_at_b(&a, &b, m, k, n);
                 assert_eq!(
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -620,9 +603,17 @@ mod tests {
         // misreading a typo.
         assert_eq!(parse_backend_knob("K", "simd"), Some(GemmBackend::Simd));
         assert_eq!(
-            parse_backend_knob("K", " Threaded "),
-            Some(GemmBackend::Threaded)
+            parse_backend_knob("K", " Blocked "),
+            Some(GemmBackend::Blocked)
         );
+        // The retired schedule names warn once and fall back to the
+        // default (blocked), like any unknown value.
+        assert_eq!(parse_backend_knob("K", " Threaded "), None);
+        assert_eq!(parse_backend_knob("K", "pooled"), None);
+        assert!("threaded"
+            .parse::<GemmBackend>()
+            .unwrap_err()
+            .contains("retired"));
         assert_eq!(parse_backend_knob("K", "gpu"), None);
         assert_eq!(parse_backend_knob("K", ""), None);
         assert_eq!(env_backend_knob("NN_TEST_BACKEND_KNOB_UNSET"), None);
@@ -632,6 +623,7 @@ mod tests {
     fn simd_forced_fallback_is_blocked_bitwise() {
         // Under a force_scalar guard the Simd backend *is* the blocked
         // kernel — both GEMM shapes, all elements, to the bit.
+        let _lock = crate::simd::guard_lock();
         let _g = crate::simd::force_scalar();
         let (m, k, n) = (13usize, 57usize, 33usize);
         let a = fill(m * k, 5);

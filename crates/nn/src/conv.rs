@@ -16,25 +16,19 @@ use crate::workspace::LayerWs;
 /// symmetric zero padding, matching the AlexNet layers of the paper.
 ///
 /// With the [`GemmBackend::Naive`] backend the layer runs its original
-/// direct loops per sample (the correctness oracle); with
-/// `Blocked`/`Threaded` the **whole batch** routes through **one** im2col
-/// GEMM per pass — `W[out_c × taps] · cols[taps × N·positions]` forward,
-/// `G[N·positions × out_c] · W` for the input gradient — so batching
-/// multiplies the GEMM's long dimension by `N`, exactly where the
-/// register-tiled and row-band-threaded kernels win. Weight gradients
-/// reduce *across* samples, so they are computed as per-sample
-/// `Gᵢᵀ·colsᵢ` products accumulated in ascending sample order — the
-/// association the serial path uses, which is what makes batched ≡ serial
-/// bit-identical (see `docs/batching.md`).
-///
-/// On the `Threaded` backend with `N > 1`, parallelism moves **up to the
-/// batch axis**: each sample's whole pipeline (im2col expansion, GEMMs,
-/// bias add, col2im scatter) is one [`crate::pool`] task writing its own
-/// disjoint workspace chunks, and the cross-sample `dW`/`db` reductions
-/// become per-sample partial buffers merged on the caller in ascending
-/// sample order — the same per-element float-op sequences as the serial
-/// pass, so bit-identity holds at any thread count
-/// (see `docs/threading.md`).
+/// direct loops per sample (the correctness oracle). Every other kernel
+/// runs one schedule, the **per-sample pipeline**: each sample's whole
+/// pass (im2col straight into the product layout, its own GEMMs on the
+/// layer's kernel, bias add, col2im scatter) is one [`crate::pool`]
+/// task writing its own disjoint workspace chunks. Weight gradients
+/// reduce *across* samples, so each task leaves fully reduced
+/// `dWᵢ`/`dbᵢ` partials that the caller merges in ascending sample
+/// order — the association the serial path uses. Every element keeps
+/// the serial single-image float-op sequence, so batched ≡ serial holds
+/// bit for bit at any batch size and pool width (see
+/// `docs/batching.md` and `docs/threading.md`). A batch of one is a
+/// single task, whose products band over the pool instead
+/// ([`crate::backend::bands`]).
 ///
 /// The two algorithms (direct loops vs GEMM path) agree to float
 /// rounding (see the tolerance policy in [`crate::gemm`]).
@@ -280,103 +274,41 @@ impl Layer for Conv2d {
             return;
         }
 
-        let taps = self.in_c * self.k * self.k;
-
-        // Pooled batch-parallel path: one task per sample, each running
-        // the whole per-sample pipeline — im2col straight into the
-        // transposed [taps × positions] GEMM layout, its own
+        // One task per sample: im2col straight into the transposed
+        // [taps × positions] GEMM layout, then its own
         //   outᵢ[out_c × positions] = W[out_c × taps] · colsᵢᵀ
-        // product on the single-thread blocked kernel, bias after the
-        // full dot — into disjoint chunks of the shared buffers. Every
-        // output element is the identical ascending-taps dot product as
-        // the fused batch GEMM *and* the serial per-image pass, so the
-        // scatter is bit-identical to both at any thread count.
-        if self.backend == GemmBackend::Threaded && n > 1 {
-            let LayerWs { gemm_a, out, .. } = ws;
-            let sample_cols = taps * positions;
-            let cols_all = LayerWs::reuse_buf(gemm_a, n * sample_cols);
-            let out = LayerWs::reuse(out, &[n, self.out_c, out_h, out_w]);
-            let od = out.data_mut();
-            let w = self.weight.value.data();
-            let b = self.bias.value.data();
-            let (in_c, out_c, k, stride, pad) = self.geometry();
-            let out_plane = out_c * positions;
-            let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-            for (i, (cols_i, out_i)) in cols_all
-                .chunks_mut(sample_cols)
-                .zip(od.chunks_mut(out_plane))
-                .enumerate()
-            {
-                let x_i = x.sample(i);
-                tasks.push(Box::new(move || {
-                    crate::gemm::im2col_t_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                    GemmBackend::Blocked.matmul_into(out_i, w, cols_i, out_c, taps, positions);
-                    for oc in 0..out_c {
-                        let bv = b[oc];
-                        for v in &mut out_i[oc * positions..(oc + 1) * positions] {
-                            // Bias after the full dot product — the serial order.
-                            *v += bv;
-                        }
-                    }
-                }));
-            }
-            crate::pool::current().run(tasks);
-            return;
-        }
-
-        // Fused GEMM path: pack the whole batch into one product,
-        //   out'[out_c × N·positions] = W[out_c × taps] · cols[taps × N·positions],
-        // with sample i's im2col columns occupying columns
-        // [i·positions, (i+1)·positions). Each output element is the same
-        // ascending-taps dot product as the serial per-image GEMM, so the
-        // fused product is bit-identical to N serial ones.
-        let LayerWs {
-            im2col,
-            gemm_a,
-            gemm_c,
-            out,
-            ..
-        } = ws;
-        let cols = LayerWs::reuse_buf(im2col, positions * taps);
-        let big_n = n * positions;
-        let bt = LayerWs::reuse_buf(gemm_a, taps * big_n);
-        for i in 0..n {
-            crate::gemm::im2col_slice_into(
-                cols,
-                x.sample(i),
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
-            for pos in 0..positions {
-                let patch = &cols[pos * taps..(pos + 1) * taps];
-                let col = i * positions + pos;
-                for (t, &v) in patch.iter().enumerate() {
-                    bt[t * big_n + col] = v;
-                }
-            }
-        }
-        let gc = LayerWs::reuse_buf(gemm_c, self.out_c * big_n);
-        self.backend
-            .matmul_into(gc, self.weight.value.data(), bt, self.out_c, taps, big_n);
-
+        // product on the layer's kernel, bias after the full dot — into
+        // disjoint chunks of the shared buffers. Every output element is
+        // the serial single-image ascending-taps dot product, so the
+        // scatter is bit-identical to it at any pool width.
+        let taps = self.in_c * self.k * self.k;
+        let LayerWs { gemm_a, out, .. } = ws;
+        let sample_cols = taps * positions;
+        let cols_all = LayerWs::reuse_buf(gemm_a, n * sample_cols);
         let out = LayerWs::reuse(out, &[n, self.out_c, out_h, out_w]);
-        let od = out.data_mut();
+        let w = self.weight.value.data();
         let b = self.bias.value.data();
-        for i in 0..n {
-            for oc in 0..self.out_c {
-                let src = &gc[oc * big_n + i * positions..oc * big_n + (i + 1) * positions];
-                let dst = &mut od
-                    [(i * self.out_c + oc) * positions..(i * self.out_c + oc + 1) * positions];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    // Bias after the full dot product — the serial order.
-                    *d = s + b[oc];
+        let (in_c, out_c, k, stride, pad) = self.geometry();
+        let be = self.backend;
+        let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
+        for (i, (cols_i, out_i)) in cols_all
+            .chunks_mut(sample_cols)
+            .zip(out.data_mut().chunks_mut(out_c * positions))
+            .enumerate()
+        {
+            let x_i = x.sample(i);
+            tasks.push(Box::new(move || {
+                crate::gemm::im2col_t_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
+                be.matmul_into(out_i, w, cols_i, out_c, taps, positions);
+                for (row, &bv) in out_i.chunks_mut(positions).zip(b) {
+                    for v in row {
+                        // Bias after the full dot product — the serial order.
+                        *v += bv;
+                    }
                 }
-            }
+            }));
         }
+        crate::pool::current().run(tasks);
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor, ws: &mut LayerWs) -> Result<(), NnError> {
@@ -416,109 +348,17 @@ impl Layer for Conv2d {
             return Ok(());
         }
 
+        // One task per sample computing the whole per-sample backward —
+        // im2colᵢ, the transposed gradient block, fully reduced dWᵢ/dbᵢ
+        // **partials** into its own slots of `acc`/`acc2`, the per-sample
+        // dXᵢ GEMM and col2im scatter — all into disjoint chunks. The
+        // cross-sample dW/db reduction then merges the partials on this
+        // thread in ascending sample order: exactly the serial
+        // association, so gradients are bit-identical to N serial passes
+        // at any pool width (`docs/threading.md`).
         let taps = self.in_c * self.k * self.k;
-
-        // Pooled batch-parallel path: one task per sample computing the
-        // whole per-sample backward — im2colᵢ, the transposed gradient
-        // block, fully-reduced dWᵢ/dbᵢ **partials** into its own slots of
-        // `acc`/`acc2`, the per-sample dXᵢ GEMM and col2im scatter — all
-        // into disjoint chunks. The cross-sample dW/db reduction then
-        // merges the partials on this thread in ascending sample order:
-        // exactly the serial association, so gradients are bit-identical
-        // to N serial passes at any thread count (`docs/threading.md`).
-        if self.backend == GemmBackend::Threaded && n > 1 {
-            let go = grad_output.data();
-            let sample_cols = positions * taps;
-            let LayerWs {
-                input: ws_input,
-                grad_in,
-                im2col,
-                gemm_a,
-                gemm_c,
-                acc,
-                acc2,
-                ..
-            } = ws;
-            let input = ws_input.as_ref().expect("checked above");
-            let cols_all = LayerWs::reuse_buf(im2col, n * sample_cols);
-            let gbig = LayerWs::reuse_buf(gemm_a, n * positions * self.out_c);
-            let dcols = LayerWs::reuse_buf(gemm_c, n * sample_cols);
-            let dw_parts = LayerWs::reuse_buf(acc, n * self.out_c * taps);
-            let db_parts = LayerWs::reuse_buf(acc2, n * self.out_c);
-            let grad_in = LayerWs::reuse(grad_in, input.shape());
-            let gid = grad_in.data_mut();
-            let in_plane = self.in_c * in_h * in_w;
-            let w = self.weight.value.data();
-            let (in_c, out_c, k, stride, pad) = self.geometry();
-            let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-            let chunks = cols_all
-                .chunks_mut(sample_cols)
-                .zip(gbig.chunks_mut(positions * out_c))
-                .zip(dcols.chunks_mut(sample_cols))
-                .zip(dw_parts.chunks_mut(out_c * taps))
-                .zip(db_parts.chunks_mut(out_c))
-                .zip(gid.chunks_mut(in_plane))
-                .enumerate();
-            for (i, (((((cols_i, gbig_i), dcols_i), dw_i), db_i), gi_i)) in chunks {
-                let x_i = input.sample(i);
-                let go_i = &go[i * out_c * positions..(i + 1) * out_c * positions];
-                tasks.push(Box::new(move || {
-                    crate::gemm::im2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                    // Sample i's grad as a [positions × out_c] block.
-                    for oc in 0..out_c {
-                        for pos in 0..positions {
-                            gbig_i[pos * out_c + oc] = go_i[oc * positions + pos];
-                        }
-                    }
-                    // dWᵢ, fully reduced per sample — the serial op
-                    // sequence (merge happens after the join, in order).
-                    GemmBackend::Blocked
-                        .matmul_at_b_into(dw_i, gbig_i, cols_i, positions, out_c, taps);
-                    // dbᵢ: ascending positions, fully reduced.
-                    for (oc, db) in db_i.iter_mut().enumerate() {
-                        let mut s = 0.0f32;
-                        for pos in 0..positions {
-                            s += go_i[oc * positions + pos];
-                        }
-                        *db = s;
-                    }
-                    // dXᵢ = Gᵢ·W, then the per-sample col2im scatter.
-                    GemmBackend::Blocked.matmul_into(dcols_i, gbig_i, w, positions, out_c, taps);
-                    gi_i.fill(0.0);
-                    crate::gemm::col2im_slice_accumulate(
-                        gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
-                    );
-                }));
-            }
-            crate::pool::current().run(tasks);
-            // Fixed-order merge: ascending sample index, exactly the
-            // serial accumulation sequence.
-            let gw = self.weight.grad.data_mut();
-            for dw_i in dw_parts.chunks(out_c * taps) {
-                for (a, &v) in gw.iter_mut().zip(dw_i) {
-                    *a += v;
-                }
-            }
-            let gb = self.bias.grad.data_mut();
-            for db_i in db_parts.chunks(out_c) {
-                for (a, &v) in gb.iter_mut().zip(db_i) {
-                    *a += v;
-                }
-            }
-            return Ok(());
-        }
-
-        // Fused GEMM path (§V-B). Per-sample, ascending sample order:
-        //   dWᵢ = Gᵢᵀ[out_c × positions] · colsᵢ[positions × taps]
-        //   dbᵢ[oc] = Σ_pos Gᵢ  (ascending positions)
-        // accumulated into the parameter buffers sample by sample — the
-        // serial association, so bit-identical from zeroed accumulators.
-        // The input gradient has no cross-sample reduction, so it runs as
-        // ONE fused GEMM over the whole batch:
-        //   dcols[N·positions × taps] = G[N·positions × out_c] · W
-        // followed by a per-sample col2im scatter.
-        let big_n = n * positions;
         let go = grad_output.data();
+        let sample_cols = positions * taps;
         let LayerWs {
             input: ws_input,
             grad_in,
@@ -526,72 +366,73 @@ impl Layer for Conv2d {
             gemm_a,
             gemm_c,
             acc,
+            acc2,
             ..
         } = ws;
         let input = ws_input.as_ref().expect("checked above");
-        let cols = LayerWs::reuse_buf(im2col, positions * taps);
-        let gbig = LayerWs::reuse_buf(gemm_a, big_n * self.out_c);
-        let dw = LayerWs::reuse_buf(acc, self.out_c * taps);
-        for i in 0..n {
-            crate::gemm::im2col_slice_into(
-                cols,
-                input.sample(i),
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
-            // Sample i's grad as a [positions × out_c] block of G.
-            let gi_block = &mut gbig[i * positions * self.out_c..(i + 1) * positions * self.out_c];
-            let go_i = &go[i * self.out_c * positions..(i + 1) * self.out_c * positions];
-            for oc in 0..self.out_c {
-                for pos in 0..positions {
-                    gi_block[pos * self.out_c + oc] = go_i[oc * positions + pos];
+        let cols_all = LayerWs::reuse_buf(im2col, n * sample_cols);
+        let gbig = LayerWs::reuse_buf(gemm_a, n * positions * self.out_c);
+        let dcols = LayerWs::reuse_buf(gemm_c, n * sample_cols);
+        let dw_parts = LayerWs::reuse_buf(acc, n * self.out_c * taps);
+        let db_parts = LayerWs::reuse_buf(acc2, n * self.out_c);
+        let grad_in = LayerWs::reuse(grad_in, input.shape());
+        let in_plane = self.in_c * in_h * in_w;
+        let w = self.weight.value.data();
+        let (in_c, out_c, k, stride, pad) = self.geometry();
+        let be = self.backend;
+        let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
+        let chunks = cols_all
+            .chunks_mut(sample_cols)
+            .zip(gbig.chunks_mut(positions * out_c))
+            .zip(dcols.chunks_mut(sample_cols))
+            .zip(dw_parts.chunks_mut(out_c * taps))
+            .zip(db_parts.chunks_mut(out_c))
+            .zip(grad_in.data_mut().chunks_mut(in_plane))
+            .enumerate();
+        for (i, (((((cols_i, gbig_i), dcols_i), dw_i), db_i), gi_i)) in chunks {
+            let x_i = input.sample(i);
+            let go_i = &go[i * out_c * positions..(i + 1) * out_c * positions];
+            tasks.push(Box::new(move || {
+                crate::gemm::im2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
+                // Sample i's grad as a [positions × out_c] block.
+                for oc in 0..out_c {
+                    for pos in 0..positions {
+                        gbig_i[pos * out_c + oc] = go_i[oc * positions + pos];
+                    }
                 }
-            }
-            // dWᵢ, fully reduced per sample, then accumulated — the
-            // serial op sequence exactly.
-            self.backend
-                .matmul_at_b_into(dw, gi_block, cols, positions, self.out_c, taps);
-            for (a, &v) in self.weight.grad.data_mut().iter_mut().zip(dw.iter()) {
+                // dWᵢ, fully reduced per sample — the serial op
+                // sequence (merge happens after the join, in order).
+                be.matmul_at_b_into(dw_i, gbig_i, cols_i, positions, out_c, taps);
+                // dbᵢ: ascending positions, fully reduced.
+                for (db, go_oc) in db_i.iter_mut().zip(go_i.chunks(positions)) {
+                    let mut s = 0.0f32;
+                    for &g in go_oc {
+                        s += g;
+                    }
+                    *db = s;
+                }
+                // dXᵢ = Gᵢ·W, then the per-sample col2im scatter.
+                be.matmul_into(dcols_i, gbig_i, w, positions, out_c, taps);
+                gi_i.fill(0.0);
+                crate::gemm::col2im_slice_accumulate(
+                    gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
+                );
+            }));
+        }
+        crate::pool::current().run(tasks);
+        // Fixed-order merge: ascending sample index, exactly the serial
+        // accumulation sequence.
+        let gw = self.weight.grad.data_mut();
+        for dw_i in dw_parts.chunks(out_c * taps) {
+            for (a, &v) in gw.iter_mut().zip(dw_i) {
                 *a += v;
             }
-            // dbᵢ: ascending positions, fully reduced, then accumulated.
-            let gb = self.bias.grad.data_mut();
-            for (oc, acc_b) in gb.iter_mut().enumerate() {
-                let mut s = 0.0f32;
-                for pos in 0..positions {
-                    s += go_i[oc * positions + pos];
-                }
-                *acc_b += s;
-            }
         }
-
-        // dX: one fused GEMM for the whole batch, then per-sample col2im.
-        let dcols = LayerWs::reuse_buf(gemm_c, big_n * taps);
-        self.backend.matmul_into(
-            dcols,
-            gbig,
-            self.weight.value.data(),
-            big_n,
-            self.out_c,
-            taps,
-        );
-        let grad_in = LayerWs::reuse_zeroed(grad_in, input.shape());
-        let in_plane = self.in_c * in_h * in_w;
-        for i in 0..n {
-            crate::gemm::col2im_slice_accumulate(
-                &mut grad_in.data_mut()[i * in_plane..(i + 1) * in_plane],
-                &dcols[i * positions * taps..(i + 1) * positions * taps],
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
+        let gb = self.bias.grad.data_mut();
+        for db_i in db_parts.chunks(out_c) {
+            for (a, &v) in gb.iter_mut().zip(db_i) {
+                *a += v;
+            }
         }
         Ok(())
     }

@@ -21,8 +21,9 @@
 //!   [`assert_ulp_close`]) and absolute+relative ([`assert_close`]) —
 //!   all `NaN`/`±∞`-classification-aware;
 //! * sweep runners: [`POOL_SIZES`] with [`sweep_pools`] (installs a
-//!   [`crate::pool::ThreadPool`] per size), [`sweep_backends`] /
-//!   [`sweep_qbackends`] over the backend enums.
+//!   [`crate::pool::ThreadPool`] per size), the schedule axis
+//!   [`sweep_schedules`] (pool sizes × [`BATCH_SIZES`]), and
+//!   [`sweep_backends`] / [`sweep_qbackends`] over the backend enums.
 //!
 //! The module is ordinary library code (usable from benches and
 //! doctests too), but its only consumers are test surfaces; nothing in
@@ -49,6 +50,11 @@ use crate::qgemm::QGemmBackend;
 /// oracle schedule, 2 = minimal real fan-out, 7 = more workers than
 /// most test batches have samples).
 pub const POOL_SIZES: [usize; 3] = [1, 2, 7];
+
+/// The batch sizes the schedule axis sweeps: 1 (one task, whose
+/// products band over the pool instead), 2 and 3 (fewer samples than a
+/// 7-wide pool has executors), and 8 (more samples than executors).
+pub const BATCH_SIZES: [usize; 4] = [1, 2, 3, 8];
 
 /// Deterministic f32 value stream in `[-1, 1)`; with `specials` set,
 /// every ~13th value is an IEEE special (`NaN`, `±0.0`, `±∞`) to
@@ -233,6 +239,18 @@ pub fn sweep_pools(mut f: impl FnMut(usize)) {
     }
 }
 
+/// The schedule axis: runs `f(pool_threads, batch)` for every
+/// [`POOL_SIZES`] × [`BATCH_SIZES`] pair, with that pool installed —
+/// every way the per-sample conv tasks and product row bands can
+/// spread over the pool.
+pub fn sweep_schedules(mut f: impl FnMut(usize, usize)) {
+    sweep_pools(|threads| {
+        for n in BATCH_SIZES {
+            f(threads, n);
+        }
+    });
+}
+
 /// Runs `f` once per float backend, oracle first
 /// ([`GemmBackend::ALL`]).
 pub fn sweep_backends(mut f: impl FnMut(GemmBackend)) {
@@ -300,6 +318,10 @@ mod tests {
         let mut pools = Vec::new();
         sweep_pools(|t| pools.push(t));
         assert_eq!(pools, POOL_SIZES.to_vec());
+        let mut schedules = Vec::new();
+        sweep_schedules(|t, n| schedules.push((t, n)));
+        assert_eq!(schedules.len(), POOL_SIZES.len() * BATCH_SIZES.len());
+        assert_eq!(schedules[..2], [(1, 1), (1, 2)]);
         let mut bes = Vec::new();
         sweep_backends(|b| bes.push(b));
         assert_eq!(bes, GemmBackend::ALL.to_vec());

@@ -14,12 +14,13 @@ use crate::workspace::LayerWs;
 /// The batched forward runs **one** GEMM per layer: `Yᵀ[out×N] =
 /// W[out×in] · Xᵀ[in×N]` on the layer's [`GemmBackend`] — the batch
 /// multiplies the GEMM's column dimension, which is exactly where the
-/// blocked/threaded kernels win (a serial mat-vec gives them nothing to
+/// blocked and SIMD kernels win (a serial mat-vec gives them nothing to
 /// tile). The batched backward likewise folds the whole batch into one
-/// `dW = Gᵀ·X` product and one `dX = G·W` product. On the `Threaded`
-/// backend those GEMMs band their output rows over the persistent
-/// [`crate::pool`], and the batched `Xᵀ` pack fans out the same way —
-/// both disjoint scatters, bit-identical to serial at any thread count.
+/// `dW = Gᵀ·X` product and one `dX = G·W` product. Large products band
+/// their output rows over the persistent [`crate::pool`]
+/// ([`crate::backend::bands`]), and the batched `Xᵀ` pack fans out by
+/// the same rule — both disjoint scatters, bit-identical to serial at
+/// any pool width.
 ///
 /// Bit-identity: every output element and every `dW`/`db` element is
 /// reduced in the same ascending order as the serial single-image pass
@@ -126,18 +127,14 @@ impl Layer for Linear {
         let xt = LayerWs::reuse_buf(&mut ws.gemm_a, self.in_f * n);
         let xd = x.data();
         let in_f = self.in_f;
-        // Backend check first: `current_threads()` would lazily spawn the
-        // global pool, which strictly serial naive/blocked runs never use.
-        if self.backend == GemmBackend::Threaded
-            && n * in_f >= 1 << 15
-            && crate::pool::current_threads() > 1
-        {
+        let bands = crate::backend::bands(in_f, n * in_f, 1 << 15);
+        if bands > 1 {
             // Pooled pack: contiguous bands of Xᵀ rows (= input features)
             // per task, each a pure gather from the shared input — a
             // disjoint scatter, so bit-identical to the serial pack. The
             // first FC layer's pack is `N × 9216`-scale on the full net,
             // worth fanning out before the (pool-banded) GEMM below.
-            let band = in_f.div_ceil(crate::pool::current_threads());
+            let band = in_f.div_ceil(bands);
             crate::pool::current().scatter_chunks(xt, band * n, |t, chunk| {
                 let j0 = t * band;
                 for (jj, row) in chunk.chunks_mut(n).enumerate() {

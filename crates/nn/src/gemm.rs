@@ -16,7 +16,7 @@
 //!
 //! The matrix products themselves are pluggable: [`conv2d_gemm_with`] and
 //! [`conv2d_gemm_backward_with`] take a [`GemmBackend`] (naive oracle,
-//! cache-blocked, or multi-threaded — see [`crate::backend`] and
+//! cache-blocked, or SIMD — see [`crate::backend`] and
 //! `docs/gemm_backends.md`). Two different equivalence guarantees apply:
 //!
 //! * **Across backends** (same algorithm, different kernel): results are
@@ -36,7 +36,7 @@ use crate::tensor::Tensor;
 /// Dense row-major matrix multiply: `C[m×n] = A[m×k] · B[k×n]`.
 ///
 /// This is the **reference kernel** ([`GemmBackend::Naive`]); the blocked
-/// and threaded backends are proven bitwise-equal to it. There is
+/// backend, banded or not, is proven bitwise-equal to it. There is
 /// deliberately no skip of zero `A` entries: `0.0 × NaN` must produce
 /// `NaN` (and `-0.0` accumulation must round identically) on every
 /// backend, so the oracle performs every multiply-accumulate.

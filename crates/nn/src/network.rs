@@ -150,8 +150,9 @@ impl Network {
     }
 
     /// Routes every conv/FC matrix product through `backend`
-    /// ([`GemmBackend::Naive`] reference loops, cache-`Blocked`, or
-    /// `Threaded`); layers without matrix products are unaffected.
+    /// ([`GemmBackend::Naive`] reference loops, cache-`Blocked`, or the
+    /// `Simd` lane kernel); layers without matrix products are
+    /// unaffected.
     ///
     /// Freshly built networks start on
     /// [`crate::backend::default_backend`] (the `NN_GEMM_BACKEND` env
@@ -163,9 +164,9 @@ impl Network {
     /// use mramrl_nn::{GemmBackend, NetworkSpec, Tensor};
     ///
     /// let mut net = NetworkSpec::micro(8, 1, 5).build(0);
-    /// net.set_gemm_backend(GemmBackend::Threaded);
-    /// assert_eq!(net.gemm_backend(), Some(GemmBackend::Threaded));
-    /// let q = net.forward(&Tensor::zeros(&[1, 8, 8])); // same bits, faster
+    /// net.set_gemm_backend(GemmBackend::Naive);
+    /// assert_eq!(net.gemm_backend(), Some(GemmBackend::Naive));
+    /// let q = net.forward(&Tensor::zeros(&[1, 8, 8])); // the oracle loops
     /// assert_eq!(q.shape(), &[5]);
     /// ```
     pub fn set_gemm_backend(&mut self, backend: GemmBackend) {

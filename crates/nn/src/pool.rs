@@ -2,8 +2,8 @@
 //!
 //! Every multi-core site in the stack — GEMM row bands
 //! ([`crate::backend`]), per-sample batched conv passes
-//! ([`crate::Conv2d`]), `VecEnv` lane stepping, the `QAgent`'s
-//! independent network forwards — runs on **one** pool of workers that
+//! ([`crate::Conv2d`], the Q8.8 engine's conv), `VecEnv` lane
+//! stepping — runs on **one** pool of workers that
 //! is spawned once and parked between jobs, instead of paying a
 //! `std::thread::spawn` per matrix product. See `docs/threading.md` for
 //! the full lifecycle/ownership writeup.
@@ -22,8 +22,6 @@
 //!   per-chunk partials in parallel, then the **caller** merges them
 //!   serially in ascending chunk index: the float-op sequence of the
 //!   merge is fixed no matter how the partials were scheduled.
-//! * [`join2`] — two independent jobs; independence is the caller's
-//!   contract (disjoint `&mut` borrows enforce it at compile time).
 //!
 //! # Sizing and injection
 //!
@@ -35,9 +33,11 @@
 //! thread until the guard drops — no env-var games, no process
 //! restarts.
 //!
-//! Nested parallelism is defined away: a pool worker that reaches a
-//! pool call simply runs the tasks inline (same order, same bits), so
-//! layered code can parallelise at its own level without deadlock.
+//! Nested parallelism is defined away: a task of a parallel run that
+//! reaches a pool call simply runs the tasks inline (same order, same
+//! bits), so layered code can parallelise at its own level without
+//! deadlock. [`in_task`] exposes that state, so a GEMM inside a
+//! per-sample task runs as one band instead of splitting inline.
 //!
 //! # Examples
 //!
@@ -72,9 +72,10 @@ pub type Task<'s> = Box<dyn FnOnce() + Send + 's>;
 type StaticTask = Box<dyn FnOnce() + Send + 'static>;
 
 std::thread_local! {
-    /// Set on pool worker threads: pool calls made from inside a task
+    /// Set while this thread executes a task of a parallel run (on a
+    /// worker or on the draining caller): pool calls made from inside
     /// run inline instead of re-entering the queue (no nested waits).
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// Stack of installed pools ([`ThreadPool::install`]); the top —
     /// or, when empty, the [`global`] pool — is what [`current`] returns.
     static INSTALLED: std::cell::RefCell<Vec<PoolHandle>> =
@@ -280,7 +281,6 @@ impl Drop for TlsInstall {
 }
 
 fn worker_loop(inner: &Inner) {
-    IS_POOL_WORKER.with(|w| w.set(true));
     loop {
         let task = {
             let mut st = inner.state.lock().expect("pool lock");
@@ -321,7 +321,7 @@ impl PoolHandle {
         if tasks.is_empty() {
             return;
         }
-        if self.threads <= 1 || tasks.len() == 1 || IS_POOL_WORKER.with(std::cell::Cell::get) {
+        if self.threads <= 1 || tasks.len() == 1 || in_task() {
             // Keep `current()` resolving to the executing pool even on
             // the inline path, so sizing decisions inside tasks see the
             // right executor count.
@@ -344,7 +344,9 @@ impl PoolHandle {
                     // re-enter the queue) instead of side-effect-spawning
                     // the global pool.
                     let _tls = TlsInstall::new(handle);
+                    IN_TASK.with(|f| f.set(true));
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                    IN_TASK.with(|f| f.set(false));
                     latch.complete(result.err());
                 });
                 // SAFETY: the closure borrows data that lives at least
@@ -460,26 +462,12 @@ pub fn current_threads() -> usize {
         .unwrap_or_else(|| global().threads())
 }
 
-/// Runs two independent jobs, possibly concurrently, and returns both
-/// results. Independence is guaranteed by the borrows the closures
-/// capture (disjoint `&mut`), so the results are identical to running
-/// `a` then `b` serially — which is exactly what happens on a 1-thread
-/// pool.
-pub fn join2<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    let mut ra = None;
-    let mut rb = None;
-    current().run(vec![
-        Box::new(|| ra = Some(a())),
-        Box::new(|| rb = Some(b())),
-    ]);
-    (
-        ra.expect("join2 task a completed"),
-        rb.expect("join2 task b completed"),
-    )
+/// `true` while the calling thread executes a task of a parallel
+/// [`PoolHandle::run`]: a pool call made now runs inline, so sizing
+/// decisions (the GEMM row-band rule, [`crate::backend::bands`]) treat
+/// the caller as one executor.
+pub fn in_task() -> bool {
+    IN_TASK.with(std::cell::Cell::get)
 }
 
 /// The process-wide pool: spawned on first use, sized by
@@ -616,18 +604,12 @@ mod tests {
         let inner_handle = handle.clone();
         handle.scatter_chunks(&mut out, 4, move |ci, chunk| {
             // A pool call from inside a task must not deadlock: it runs
-            // the tasks inline on this worker.
+            // the tasks inline on this executor.
+            assert!(in_task());
             inner_handle.scatter_chunks(chunk, 1, |cj, c| c[0] = ci * 4 + cj);
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn join2_returns_both_results() {
-        let pool = ThreadPool::new(2);
-        let _g = pool.install();
-        let (a, b) = join2(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
+        assert!(!in_task(), "the flag ends with the run");
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! | Backend | Kernel | Use |
 //! |---------|--------|-----|
 //! | [`QGemmBackend::Naive`]   | reference triple loops over [`Acc32`] | correctness oracle |
-//! | [`QGemmBackend::Blocked`] | certified-no-overflow contiguous-dot tiles | default |
-//! | [`QGemmBackend::Pooled`]  | row bands on the persistent [`crate::pool`] over the blocked kernel | multi-core |
-//! | [`QGemmBackend::Simd`]    | explicit `pmaddwd` lanes ([`crate::simd`]) on certified rows, pooled bands | max throughput — still bit-identical |
+//! | [`QGemmBackend::Blocked`] | certified-no-overflow contiguous-dot tiles, on explicit `pmaddwd` lanes ([`crate::simd`]) where available | default |
+//!
+//! As on the float side, the schedule is not a backend: large blocked
+//! products split into row bands on the persistent [`crate::pool`] by
+//! the shared rule [`crate::backend::bands`], which never changes a bit.
 //!
 //! # The `A·Bᵀ` contract
 //!
@@ -53,15 +55,16 @@
 //! ([`row_l1_norms`]): [`crate::quant::QuantizedNet`] stores it at
 //! snapshot time, so a call only scans its Bᵀ for `max|b|`.
 //!
-//! [`QGemmBackend::Simd`] is the same kernel with the certified rows'
-//! wrapping adds made **explicitly** lane-parallel
+//! Where [`crate::simd::simd_active`] holds, the blocked kernel runs the
+//! certified rows' wrapping adds **explicitly** lane-parallel
 //! (`_mm256_madd_epi16`, the `pmaddwd` pairing this contract was
 //! designed for — see [`crate::simd`]): any lane grouping of wrapping
 //! adds computes the same value mod 2³², and the certificate bounds
 //! every partial sum below `i32::MAX`, so the lanes reproduce the
-//! saturating oracle's exact bits. Uncertified rows take the identical
-//! scalar chain as `Blocked`; hosts without AVX2 (or with
-//! `NN_SIMD=off`) fall back to the blocked kernel wholesale.
+//! saturating oracle's exact bits. Uncertified rows keep the scalar
+//! saturating chain; hosts without AVX2 (or with `NN_SIMD=off`, or
+//! under a [`crate::simd::force_scalar`] guard) run the scalar
+//! certified dots instead — the same bits either way.
 //!
 //! The result is bit-for-bit identical across backends and pool sizes —
 //! `crates/nn/tests/quant_equivalence.rs` and
@@ -71,9 +74,9 @@
 //! # Backend selection
 //!
 //! Quantised layers default to the float stack's `NN_GEMM_BACKEND` knob
-//! through [`default_backend`] (`naive → Naive`, `blocked → Blocked`,
-//! `threaded → Pooled`, `simd → Simd`), so the CI backend × pool
-//! matrix exercises the integer kernels on every configuration.
+//! through [`default_backend`] (`naive → Naive`, everything else →
+//! `Blocked`), so the CI backend × pool matrix exercises the integer
+//! kernels on every configuration.
 //!
 //! # Examples
 //!
@@ -103,7 +106,8 @@ use mramrl_fixed::{Acc32, Q8_8};
 const QJ: usize = 4;
 
 /// Below this many multiply-accumulates a pooled launch costs more than
-/// it saves; [`QGemmBackend::Pooled`] falls back to the blocked kernel.
+/// it saves, so the blocked kernel stays one band
+/// ([`crate::backend::bands`]).
 /// The certified integer kernel sustains ≈ 10 GMAC/s per core on the
 /// dev container (pmaddwd-shaped dots), so `2^17` MACs ≈ 13 µs serial
 /// vs ≈ 0.4 µs submit + cross-core wakeup — the same ~3 % dispatch
@@ -120,55 +124,37 @@ pub enum QGemmBackend {
     /// every other backend is proven against.
     Naive,
     /// Certified-no-overflow contiguous-dot tiles (the `row_safe` L1
-    /// bound), exact saturating chains for the rest.
+    /// bound), exact saturating chains for the rest. Certified rows run
+    /// on explicit `_mm256_madd_epi16` lanes ([`crate::simd`]) whenever
+    /// [`crate::simd::simd_active`] holds — **still bit-identical** to
+    /// the oracle, because the certificate makes wrapping lane adds
+    /// exact.
     #[default]
     Blocked,
-    /// Contiguous row bands of the output scattered over the persistent
-    /// [`crate::pool`], each band running the blocked kernel. Disjoint
-    /// scatter — bit-identical to serial at any pool size.
-    Pooled,
-    /// The blocked kernel with certified rows on explicit
-    /// `_mm256_madd_epi16` lanes ([`crate::simd`]) and the same pooled
-    /// row-band scatter — **still bit-identical** to the oracle (the
-    /// certificate makes wrapping lane adds exact; uncertified rows
-    /// keep the scalar saturating chain). Falls back to the blocked
-    /// kernel when AVX2 is absent, `NN_SIMD=off`, or a
-    /// [`crate::simd::force_scalar`] guard is live.
-    Simd,
 }
 
 impl QGemmBackend {
     /// All backends, oracle first — for benches and equivalence tests.
-    /// Unlike the float side, **every** integer backend (the `Simd`
-    /// lane kernel included) is in the bitwise family.
-    pub const ALL: [QGemmBackend; 4] = [
-        QGemmBackend::Naive,
-        QGemmBackend::Blocked,
-        QGemmBackend::Pooled,
-        QGemmBackend::Simd,
-    ];
+    /// Unlike the float side, **every** integer backend (lanes
+    /// included) is in the bitwise family.
+    pub const ALL: [QGemmBackend; 2] = [QGemmBackend::Naive, QGemmBackend::Blocked];
 
     /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             QGemmBackend::Naive => "naive",
             QGemmBackend::Blocked => "blocked",
-            QGemmBackend::Pooled => "pooled",
-            QGemmBackend::Simd => "simd",
         }
     }
 
     /// The integer backend matching a float [`crate::GemmBackend`]: the
-    /// naive oracle stays the oracle, `Threaded` maps to `Pooled` (both
-    /// put row bands on the persistent pool), `Simd` to `Simd` (both
-    /// explicit lane kernels — though only the float side trades bits
-    /// for it).
+    /// naive oracle stays the oracle; `Blocked` and `Simd` both map to
+    /// `Blocked`, which takes the lanes by itself wherever the float
+    /// `Simd` kernel would (only the float side trades bits for them).
     pub fn from_gemm(backend: crate::backend::GemmBackend) -> Self {
         match backend {
             crate::backend::GemmBackend::Naive => QGemmBackend::Naive,
-            crate::backend::GemmBackend::Blocked => QGemmBackend::Blocked,
-            crate::backend::GemmBackend::Threaded => QGemmBackend::Pooled,
-            crate::backend::GemmBackend::Simd => QGemmBackend::Simd,
+            _ => QGemmBackend::Blocked,
         }
     }
 
@@ -214,12 +200,7 @@ impl QGemmBackend {
         debug_assert!(a_l1 == row_l1_norms(a, m, k), "stale A norms");
         match self {
             QGemmBackend::Naive => qmatmul_naive(c, a, bt, bias, m, k, n),
-            QGemmBackend::Blocked => qmatmul_band(c, a, a_l1, bt, bias, m, k, n, false),
-            QGemmBackend::Pooled => qmatmul_pooled(c, a, a_l1, bt, bias, m, k, n, false),
-            QGemmBackend::Simd => {
-                let lanes = crate::simd::simd_active();
-                qmatmul_pooled(c, a, a_l1, bt, bias, m, k, n, lanes)
-            }
+            QGemmBackend::Blocked => qmatmul_blocked(c, a, a_l1, bt, bias, m, k, n),
         }
     }
 }
@@ -231,10 +212,12 @@ impl FromStr for QGemmBackend {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(QGemmBackend::Naive),
             "blocked" => Ok(QGemmBackend::Blocked),
-            "pooled" => Ok(QGemmBackend::Pooled),
-            "simd" => Ok(QGemmBackend::Simd),
+            retired @ ("pooled" | "simd") => Err(format!(
+                "integer GEMM backend {retired:?} is retired: blocked now bands over the pool \
+                 and takes the SIMD lanes by itself (expected naive|blocked)"
+            )),
             other => Err(format!(
-                "unknown integer GEMM backend {other:?} (expected naive|blocked|pooled|simd)"
+                "unknown integer GEMM backend {other:?} (expected naive|blocked)"
             )),
         }
     }
@@ -390,8 +373,8 @@ fn qdot_fast(arow: &[Q8_8], brow: &[Q8_8], bias: Q8_8) -> Q8_8 {
 /// time with plain adds — every A-element load amortised `QJ`×, the
 /// dots lowering to the ISA's 16×16→32 multiply-add — and the `n % QJ`
 /// column tail (all of a batch-1…3 FC product) one certified dot each.
-/// With `lanes` (the `Simd` backend; caller has checked
-/// [`crate::simd::simd_active`]) those dots run on explicit `pmaddwd`
+/// With `lanes` (the caller has checked [`crate::simd::simd_active`])
+/// those dots run on explicit `pmaddwd`
 /// lanes ([`crate::simd::qdot4`] / [`crate::simd::qdot1`]); the
 /// certificate makes that change of arithmetic engine invisible to
 /// the bits. Uncertified rows take the saturating chain on either
@@ -468,14 +451,15 @@ fn qmatmul_band(
     }
 }
 
-/// Pooled kernel: contiguous row bands of `C` scattered over the
-/// persistent [`crate::pool`], each band running [`qmatmul_band`] on its
-/// own rows of `A`/`a_l1`/`bias`. Every output element is computed by
-/// exactly one band with the blocked kernel's MAC chain, so the scatter
-/// is disjoint and bit-identical to serial at any pool size. `lanes`
-/// selects the band's certified-dot engine (the `Simd` backend).
+/// The blocked backend: contiguous row bands of `C`
+/// ([`crate::backend::bands`]) scattered over the persistent
+/// [`crate::pool`], each band running [`qmatmul_band`] on its own rows
+/// of `A`/`a_l1`/`bias`, on the `pmaddwd` lanes whenever
+/// [`crate::simd::simd_active`] holds. Every output element is computed
+/// by exactly one band with the blocked kernel's MAC chain, so the
+/// scatter is disjoint and bit-identical to serial at any pool size.
 #[allow(clippy::too_many_arguments)]
-fn qmatmul_pooled(
+fn qmatmul_blocked(
     c: &mut [Q8_8],
     a: &[Q8_8],
     a_l1: &[i64],
@@ -484,10 +468,10 @@ fn qmatmul_pooled(
     m: usize,
     k: usize,
     n: usize,
-    lanes: bool,
 ) {
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < QPAR_MIN_MACS {
+    let lanes = crate::simd::simd_active();
+    let threads = crate::backend::bands(m, m * k * n, QPAR_MIN_MACS);
+    if threads <= 1 || n == 0 {
         qmatmul_band(c, a, a_l1, bt, bias, m, k, n, lanes);
         return;
     }
@@ -575,8 +559,17 @@ mod tests {
             .collect()
     }
 
+    /// The blocked kernel with and without its `pmaddwd` lanes (a
+    /// [`crate::simd::force_scalar`] guard closes them).
+    fn lane_legs(mut f: impl FnMut(&str)) {
+        let _lock = crate::simd::guard_lock();
+        f("lanes");
+        let _g = crate::simd::force_scalar();
+        f("scalar");
+    }
+
     #[test]
-    fn blocked_and_pooled_match_naive_bitwise() {
+    fn blocked_matches_naive_bitwise() {
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
             (5, 7, 9),
@@ -592,24 +585,21 @@ mod tests {
             let mut want = vec![Q8_8::ZERO; m * n];
             QGemmBackend::Naive
                 .matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, m, k, n);
-            for be in [
-                QGemmBackend::Blocked,
-                QGemmBackend::Pooled,
-                QGemmBackend::Simd,
-            ] {
+            lane_legs(|leg| {
                 let mut got = vec![Q8_8::MAX; m * n]; // dirty: must be overwritten
-                be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
+                QGemmBackend::Blocked
+                    .matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
                 assert_eq!(
                     want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                     got.iter().map(|q| q.raw()).collect::<Vec<_>>(),
-                    "{be} m={m} k={k} n={n}"
+                    "{leg} m={m} k={k} n={n}"
                 );
-            }
+            });
         }
     }
 
     #[test]
-    fn pooled_matches_naive_at_several_pool_sizes() {
+    fn blocked_bands_match_naive_at_several_pool_sizes() {
         let (m, k, n) = (16usize, 300usize, 40usize);
         let a = qfill(m * k, 7);
         let l1 = row_l1_norms(&a, m, k);
@@ -621,7 +611,7 @@ mod tests {
             let pool = crate::pool::ThreadPool::new(threads);
             let _g = pool.install();
             let mut got = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Pooled
+            QGemmBackend::Blocked
                 .matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
             assert_eq!(want, got, "threads={threads}");
         }
@@ -651,15 +641,12 @@ mod tests {
             QGemmBackend::Naive
                 .matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, 1, k, n);
             assert_eq!(want[0], Q8_8::MIN, "chain must end clamped, not cancelled");
-            for be in [
-                QGemmBackend::Blocked,
-                QGemmBackend::Pooled,
-                QGemmBackend::Simd,
-            ] {
+            lane_legs(|leg| {
                 let mut got = vec![Q8_8::ZERO; n];
-                be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, 1, k, n);
-                assert_eq!(want, got, "{be} n={n}");
-            }
+                QGemmBackend::Blocked
+                    .matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, 1, k, n);
+                assert_eq!(want, got, "{leg} n={n}");
+            });
         }
     }
 
@@ -682,19 +669,16 @@ mod tests {
         let bias = qfill(m, 23);
         let mut want = vec![Q8_8::ZERO; m * n];
         QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &l1, &bt, &bias, m, k, n);
-        for be in [
-            QGemmBackend::Blocked,
-            QGemmBackend::Pooled,
-            QGemmBackend::Simd,
-        ] {
+        lane_legs(|leg| {
             let mut got = vec![Q8_8::ZERO; m * n];
-            be.matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
+            QGemmBackend::Blocked
+                .matmul_bt_bias_requant_into(&mut got, &a, &l1, &bt, &bias, m, k, n);
             assert_eq!(
                 want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                 got.iter().map(|q| q.raw()).collect::<Vec<_>>(),
-                "{be}"
+                "{leg}"
             );
-        }
+        });
     }
 
     #[test]
@@ -731,36 +715,25 @@ mod tests {
             assert_eq!(be.name().parse::<QGemmBackend>().unwrap(), be);
             assert_eq!(be.to_string(), be.name());
         }
+        for retired in ["pooled", "simd"] {
+            let err = retired.parse::<QGemmBackend>().unwrap_err();
+            assert!(err.contains("retired"), "{err}");
+        }
         assert!("threaded".parse::<QGemmBackend>().is_err());
     }
 
     #[test]
     fn gemm_backend_mapping_is_total() {
         use crate::backend::GemmBackend;
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Naive),
-            QGemmBackend::Naive
-        );
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Blocked),
-            QGemmBackend::Blocked
-        );
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Threaded),
-            QGemmBackend::Pooled
-        );
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Simd),
-            QGemmBackend::Simd
-        );
-        // Totality both ways: every float backend maps to some integer
-        // backend (the match is exhaustive by construction), and the
-        // names agree wherever both sides define them.
+        // The naive oracle stays the oracle; every other float kernel
+        // maps to the one integer kernel.
         for be in GemmBackend::ALL {
-            let q = QGemmBackend::from_gemm(be);
-            if be.name() != "threaded" {
-                assert_eq!(q.name(), be.name());
-            }
+            let want = if be == GemmBackend::Naive {
+                QGemmBackend::Naive
+            } else {
+                QGemmBackend::Blocked
+            };
+            assert_eq!(QGemmBackend::from_gemm(be), want, "{be}");
         }
     }
 }

@@ -11,9 +11,10 @@
 //! The engine shares the float hot path's API shape (`docs/batching.md`,
 //! `docs/fixed_point.md`):
 //!
-//! * quantised conv/FC layers are **one fused integer GEMM each**
-//!   ([`crate::qgemm::QGemmBackend`] — naive oracle, blocked, pooled
-//!   row-band kernels, all bit-identical), fed by Q8.8 im2col packing
+//! * quantised conv layers run one integer GEMM per sample, one pool
+//!   task each; FC layers one GEMM per batch
+//!   ([`crate::qgemm::QGemmBackend`] — naive oracle or the blocked
+//!   kernel, bit-identical), fed by Q8.8 im2col packing
 //!   ([`crate::qgemm::qim2col_slice_into`]; FC batches need no packing
 //!   at all under the `A·Bᵀ` contract);
 //! * [`QuantizedNet::forward_batch`] / [`QuantizedNet::q_values_batch`]
@@ -85,12 +86,10 @@ pub struct QLayerWs {
     /// last `forward_batch` (the value the next layer consumes).
     pub out: Vec<Q8_8>,
     /// Conv: packed im2col `Bᵀ` operand — per-sample
-    /// `[positions × taps]` slabs, concatenated (`[N·positions × taps]`
-    /// fused). FC needs no packing: the activation batch `[N, in_f]`
-    /// *is* the `Bᵀ` operand.
+    /// `[positions × taps]` slabs, one per pool task. FC needs no
+    /// packing: the activation batch `[N, in_f]` *is* the `Bᵀ` operand.
     pub cols: Vec<Q8_8>,
-    /// Integer GEMM output scratch (layouts that need a reorder into
-    /// `out`: conv `[out_c × N·positions]`, FC `[out_f × N]`).
+    /// FC GEMM output `[out_f × N]`, reordered into `out`.
     pub gemm_c: Vec<Q8_8>,
     /// LRN: per-sample float scratch (the LUT stand-in computes in f32).
     pub fbuf: Vec<f32>,
@@ -398,77 +397,32 @@ impl QuantizedNet {
                 let out_plane = out_c * positions;
                 let out = reuse_qbuf(&mut slot.out, n * out_plane);
 
-                // The im2col Bᵀ operand: per-sample [positions × taps]
-                // slabs, concatenated — position rows are the
-                // contiguous tap vectors the weight rows dot against.
+                // One pool task per sample packs its own im2col Bᵀ slab
+                // ([positions × taps] — position rows are the contiguous
+                // tap vectors the weight rows dot against) and runs its
+                // own W·colsᵢᵀ product straight into its disjoint out
+                // chunk: the serial single-image bias-seeded
+                // ascending-taps MAC chain per output, so the scatter is
+                // bit-identical at any pool size.
                 let cols_all = reuse_qbuf(&mut slot.cols, n * taps * positions);
-                // The two pool-scattering backends take batch-axis
-                // parallelism; the per-sample product keeps each one's
-                // own arithmetic engine (Simd stays on the lane
-                // kernel — nested pool calls run inline, and the bits
-                // are backend-invariant anyway).
-                let per_sample = match self.backend {
-                    QGemmBackend::Pooled => Some(QGemmBackend::Blocked),
-                    QGemmBackend::Simd => Some(QGemmBackend::Simd),
-                    _ => None,
-                };
-                if let (Some(sample_be), true) = (per_sample, n > 1) {
-                    // Batch-axis parallelism: one pool task per sample
-                    // packs its own slab and runs its own W·colsᵢᵀ
-                    // product straight into its disjoint out chunk —
-                    // the identical bias-seeded ascending-taps MAC
-                    // chain per output as the fused product below, so
-                    // the scatter is bit-identical at any pool size.
-                    let (in_c, out_c, k, stride, pad) = (*in_c, *out_c, *k, *stride, *pad);
-                    let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-                    for (i, (cols_i, out_i)) in cols_all
-                        .chunks_mut(taps * positions)
-                        .zip(out.chunks_mut(out_plane))
-                        .enumerate()
-                    {
-                        let x_i = &input[i * in_plane..(i + 1) * in_plane];
-                        tasks.push(Box::new(move || {
-                            qim2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                            sample_be.matmul_bt_bias_requant_into(
-                                out_i, weight, l1, cols_i, bias, out_c, taps, positions,
-                            );
-                        }));
-                    }
-                    crate::pool::current().run(tasks);
-                } else {
-                    // Fused path: one product for the whole batch,
-                    //   C[out_c × N·positions] = requant(b + W · colsᵀ),
-                    // sample i's positions occupying Bᵀ rows
-                    // [i·positions, (i+1)·positions).
-                    let big_n = n * positions;
-                    for (i, cols_i) in cols_all.chunks_mut(taps * positions).enumerate() {
-                        qim2col_slice_into(
-                            cols_i,
-                            &input[i * in_plane..(i + 1) * in_plane],
-                            *in_c,
-                            in_h,
-                            in_w,
-                            *k,
-                            *stride,
-                            *pad,
+                let (in_c, out_c, k, stride, pad) = (*in_c, *out_c, *k, *stride, *pad);
+                let be = self.backend;
+                let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
+                for (i, (cols_i, out_i)) in cols_all
+                    .chunks_mut(taps * positions)
+                    .zip(out.chunks_mut(out_plane))
+                    .enumerate()
+                {
+                    let x_i = &input[i * in_plane..(i + 1) * in_plane];
+                    tasks.push(Box::new(move || {
+                        qim2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
+                        be.matmul_bt_bias_requant_into(
+                            out_i, weight, l1, cols_i, bias, out_c, taps, positions,
                         );
-                    }
-                    let gc = reuse_qbuf(&mut slot.gemm_c, out_c * big_n);
-                    self.backend.matmul_bt_bias_requant_into(
-                        gc, weight, l1, cols_all, bias, *out_c, taps, big_n,
-                    );
-                    // Reorder [out_c × N·positions] → [N, out_c, positions]
-                    // (a pure Q8.8 copy — no arithmetic, no bit changes).
-                    for i in 0..n {
-                        for oc in 0..*out_c {
-                            let src =
-                                &gc[oc * big_n + i * positions..oc * big_n + (i + 1) * positions];
-                            out[(i * out_c + oc) * positions..(i * out_c + oc + 1) * positions]
-                                .copy_from_slice(src);
-                        }
-                    }
+                    }));
                 }
-                vec![*out_c, out_h, out_w]
+                crate::pool::current().run(tasks);
+                vec![out_c, out_h, out_w]
             }
             QLayer::Fc {
                 in_f,

@@ -35,6 +35,10 @@ impl Network {
     /// Loads weights previously produced by [`Network::save_weights`] into
     /// this (structurally identical) network.
     ///
+    /// All or nothing: every tensor header and payload is parsed and
+    /// validated before the first weight is written, so a failed load
+    /// leaves the network exactly as it was.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::WeightFormat`] on malformed bytes and
@@ -61,7 +65,10 @@ impl Network {
                 context: format!("tensor count {} vs {}", params.len(), count),
             });
         }
-        for t in params {
+        // Parse and validate everything first, staging each tensor's
+        // payload bytes; commit only once the whole input checks out.
+        let mut payloads: Vec<&[u8]> = Vec::with_capacity(count);
+        for t in &params {
             let ndim = cur.u32()? as usize;
             if ndim == 0 || ndim > 8 {
                 return Err(NnError::WeightFormat {
@@ -77,14 +84,17 @@ impl Network {
                     context: format!("tensor shape {:?} vs {:?}", t.shape(), shape),
                 });
             }
-            for v in t.data_mut() {
-                *v = cur.f32()?;
-            }
+            payloads.push(cur.take(4 * t.len())?);
         }
         if cur.pos != bytes.len() {
             return Err(NnError::WeightFormat {
                 reason: "trailing bytes".into(),
             });
+        }
+        for (t, payload) in params.into_iter().zip(payloads) {
+            for (v, b) in t.data_mut().iter_mut().zip(payload.chunks_exact(4)) {
+                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
         }
         Ok(())
     }
@@ -115,11 +125,6 @@ impl<'a> Cursor<'a> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
-
-    fn f32(&mut self) -> Result<f32, NnError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
 }
 
 #[cfg(test)]
@@ -140,42 +145,61 @@ mod tests {
         assert_eq!(b.forward(&x).data(), y_a.data());
     }
 
+    /// A network and the (valid) weights of a differently seeded twin:
+    /// any tensor a failed load wrongly committed would show in
+    /// `save_weights()`.
+    fn net_and_foreign_bytes() -> (crate::Network, Vec<u8>, Vec<u8>) {
+        let net = NetworkSpec::micro(16, 1, 5).build(0);
+        let before = net.save_weights();
+        let foreign = NetworkSpec::micro(16, 1, 5).build(1).save_weights();
+        assert_ne!(before, foreign);
+        (net, before, foreign)
+    }
+
     #[test]
     fn bad_magic_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let mut bytes = net.save_weights();
+        let (mut net, before, mut bytes) = net_and_foreign_bytes();
         bytes[0] = b'X';
         assert!(matches!(
             net.load_weights(&bytes),
             Err(NnError::WeightFormat { .. })
         ));
+        assert_eq!(net.save_weights(), before);
     }
 
     #[test]
     fn truncated_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let bytes = net.save_weights();
-        assert!(net.load_weights(&bytes[..bytes.len() - 3]).is_err());
+        let (mut net, before, bytes) = net_and_foreign_bytes();
+        // Cut inside the last tensor's payload and inside a middle
+        // tensor's header: every earlier tensor parsed fine.
+        for cut in [bytes.len() - 3, bytes.len() / 2] {
+            assert!(net.load_weights(&bytes[..cut]).is_err());
+            assert_eq!(net.save_weights(), before, "cut at {cut}");
+        }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let mut bytes = net.save_weights();
+        let (mut net, before, mut bytes) = net_and_foreign_bytes();
         bytes.push(0);
         assert!(matches!(
             net.load_weights(&bytes),
             Err(NnError::WeightFormat { reason }) if reason == "trailing bytes"
         ));
+        assert_eq!(net.save_weights(), before);
     }
 
     #[test]
     fn structural_mismatch_rejected() {
+        // Same tensor count, last tensors' shapes differ (4 vs 5
+        // actions): every earlier tensor matches and parses.
         let a = NetworkSpec::micro(16, 1, 5).build(0);
-        let mut b = NetworkSpec::micro(16, 1, 4).build(0);
+        let mut b = NetworkSpec::micro(16, 1, 4).build(1);
+        let before = b.save_weights();
         assert!(matches!(
             b.load_weights(&a.save_weights()),
             Err(NnError::ShapeMismatch { .. })
         ));
+        assert_eq!(b.save_weights(), before);
     }
 }

@@ -1,6 +1,7 @@
 //! Explicit SIMD kernel tier: runtime feature detection, the `NN_SIMD`
 //! knob, and the `core::arch` lane kernels behind
-//! [`crate::GemmBackend::Simd`] and [`crate::QGemmBackend::Simd`].
+//! [`crate::GemmBackend::Simd`] and the certified rows of
+//! [`crate::QGemmBackend::Blocked`].
 //!
 //! # What lives here and why
 //!
@@ -30,7 +31,7 @@
 //!   `(A row, B column)` pair, results are **bitwise invariant** under
 //!   batching, row banding, column tiling and pool size; only the
 //!   *fusion* (one rounding per multiply-add instead of two)
-//!   distinguishes it from the unfused naive/blocked/threaded family.
+//!   distinguishes it from the unfused naive/blocked family.
 //!
 //! # Detection, knob, fallback
 //!
@@ -115,6 +116,15 @@ impl Drop for ScalarGuard {
 pub fn force_scalar() -> ScalarGuard {
     FORCE_SCALAR.fetch_add(1, Ordering::SeqCst);
     ScalarGuard(())
+}
+
+/// Serialises the unit tests that take a [`force_scalar`] guard or
+/// check the gate's state (the guard is process-wide).
+#[cfg(test)]
+pub(crate) fn guard_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The `NN_SIMD` env knob, read once and cached: `on`/`1`/`true`/`auto`
@@ -547,6 +557,7 @@ mod tests {
 
     #[test]
     fn force_scalar_guard_nests_and_restores() {
+        let _lock = guard_lock();
         let before = simd_active();
         {
             let _g1 = force_scalar();

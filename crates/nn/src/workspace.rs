@@ -38,16 +38,16 @@ use crate::tensor::Tensor;
 /// | `mask` | — | — | — | — | pass mask | — |
 /// | `argmax` | — | — | argmax indices | — | — | — |
 /// | `in_shape` | — | — | input shape | — | — | input shape |
-/// | `im2col` | per-sample patches | — | — | — | — | — |
-/// | `gemm_a` | packed GEMM operand | transposed x / grads | — | — | — | — |
-/// | `gemm_c` | GEMM output | GEMM output | — | — | — | — |
+/// | `im2col` | per-sample patches (backward) | — | — | — | — | — |
+/// | `gemm_a` | per-sample im2colᵀ / transposed grads | transposed x | — | — | — | — |
+/// | `gemm_c` | per-sample input-grad columns | GEMM output | — | — | — | — |
 /// | `acc` | per-sample `dW` partials | — | — | — | — | — |
 /// | `acc2` | per-sample `db` partials | — | — | — | — | — |
 ///
-/// On the `Threaded` backend the conv buffers hold **all `N` samples'**
-/// chunks at once (one disjoint chunk per pool task); `acc`/`acc2` are
-/// the per-worker partial buffers of the fixed-order reduction that
-/// keeps batched `dW`/`db` bit-identical to serial (`docs/threading.md`).
+/// The conv buffers hold **all `N` samples'** chunks at once (one
+/// disjoint chunk per pool task); `acc`/`acc2` are the per-sample
+/// partial buffers of the fixed-order reduction that keeps batched
+/// `dW`/`db` bit-identical to serial (`docs/threading.md`).
 #[derive(Debug, Clone, Default)]
 pub struct LayerWs {
     /// The layer's batched activation `[N, ...]` from the last

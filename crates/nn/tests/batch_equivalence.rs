@@ -202,8 +202,8 @@ proptest! {
 /// The batched ≡ serial contract survives pooled execution: the same
 /// forward/backward comparison as the proptests above, pinned under
 /// injected worker pools of 1, 2 and 7 executors (the per-sample conv
-/// scatter, pooled GEMM bands and fixed-order `dW` merges all engage on
-/// the threaded backend; the other backends must simply not care).
+/// scatter, pooled GEMM bands and fixed-order `dW` merges engage on
+/// every non-naive kernel; the naive oracle must simply not care).
 #[test]
 fn pooled_execution_preserves_batched_equals_serial() {
     let spec = NetworkSpec::micro(12, 1, 5);
@@ -312,7 +312,12 @@ fn conv_gemm_helpers_match_batched_conv_bitwise() {
         (1usize, 4usize, 3usize, 1usize, 1usize, 8usize),
         (2, 3, 3, 2, 0, 9),
     ] {
-        for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
+        // Blocked on a serial and on a multi-executor pool (where large
+        // products split into row bands).
+        for pool_threads in [1usize, 2] {
+            let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
+            let _installed = pool.install();
+            let be = GemmBackend::Blocked;
             let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
             conv.set_gemm_backend(be);
             let x = Tensor::from_vec(&[1, in_c, hw, hw], fill(in_c * hw * hw, 3));

@@ -1,12 +1,12 @@
-//! Forces the `Threaded` backend's real fan-out path and proves it
+//! Forces the blocked kernel's real row-band fan-out and proves it
 //! bitwise-equal to the oracle.
 //!
 //! This lives in its own test binary (= its own process) so the
 //! `NN_GEMM_THREADS` knob is set before `backend::thread_count()` first
 //! resolves its `OnceLock` — the shapes here exceed `PAR_MIN_MACS`, so
-//! the scoped-thread band splitting genuinely executes even on a
-//! single-core machine (where the equivalence suite's small shapes
-//! would otherwise always take the blocked fallback).
+//! the band splitting genuinely executes even on a single-core machine
+//! (where the equivalence suite's small shapes would otherwise always
+//! stay one band).
 
 use mramrl_nn::backend::{thread_count, GemmBackend};
 
@@ -31,7 +31,7 @@ fn forced_thread_fanout_is_bitwise_equal_to_naive() {
     std::env::set_var("NN_GEMM_THREADS", "4");
     assert_eq!(thread_count(), 4, "knob must win over detected cores");
 
-    // All shapes exceed PAR_MIN_MACS (2^18) so the scoped-thread bands
+    // All shapes exceed PAR_MIN_MACS (2^18) so the row bands
     // actually run; ragged sizes exercise uneven last bands and (for
     // n = 600 > NC) the column-tile boundary inside each band.
     for (m, k, n) in [(67usize, 70usize, 65usize), (20, 30, 600), (129, 17, 130)] {
@@ -39,7 +39,7 @@ fn forced_thread_fanout_is_bitwise_equal_to_naive() {
         let a = fill(m * k, 1);
         let b = fill(k * n, 2);
         let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-        let got = GemmBackend::Threaded.matmul(&a, &b, m, k, n);
+        let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
         assert_eq!(bits(&want), bits(&got), "matmul m={m} k={k} n={n}");
     }
 
@@ -48,7 +48,7 @@ fn forced_thread_fanout_is_bitwise_equal_to_naive() {
         let a = fill(m * k, 3);
         let b = fill(m * n, 4);
         let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
-        let got = GemmBackend::Threaded.matmul_at_b(&a, &b, m, k, n);
+        let got = GemmBackend::Blocked.matmul_at_b(&a, &b, m, k, n);
         assert_eq!(bits(&want), bits(&got), "at_b m={m} k={k} n={n}");
     }
 }

@@ -13,9 +13,14 @@
 //! [`mramrl_nn::difftest`] harness.
 
 use mramrl_nn::backend::GemmBackend;
-use mramrl_nn::difftest::{bits, sweep_backends, sweep_pools, POOL_SIZES};
+use mramrl_nn::difftest::{
+    bits, sweep_backends, sweep_pools, sweep_schedules, BATCH_SIZES, POOL_SIZES,
+};
 use mramrl_nn::pool::ThreadPool;
-use mramrl_nn::{Conv2d, Layer, LayerWs, NetworkSpec, Tensor, Workspace};
+use mramrl_nn::{
+    Conv2d, Layer, LayerWs, Linear, NetworkSpec, QGemmBackend, QWorkspace, QuantizedNet, Tensor,
+    Workspace,
+};
 use proptest::prelude::*;
 
 /// Specials-free value stream (the pool contracts are about scheduling,
@@ -144,7 +149,7 @@ fn pooled_gemm_bands_bitwise_equal_at_every_pool_size() {
         let b = fill(k * n, 2);
         let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
         sweep_pools(|pool_threads| {
-            let got = GemmBackend::Threaded.matmul(&a, &b, m, k, n);
+            let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
             assert_eq!(
                 bits(&want),
                 bits(&got),
@@ -157,12 +162,130 @@ fn pooled_gemm_bands_bitwise_equal_at_every_pool_size() {
         let b = fill(m * n, 4);
         let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
         sweep_pools(|pool_threads| {
-            let got = GemmBackend::Threaded.matmul_at_b(&a, &b, m, k, n);
+            let got = GemmBackend::Blocked.matmul_at_b(&a, &b, m, k, n);
             assert_eq!(
                 bits(&want),
                 bits(&got),
                 "at_b pool={pool_threads} m={m} k={k} n={n}"
             );
+        });
+    }
+}
+
+/// Outputs, input gradients and accumulated parameter gradients of one
+/// layer over a batch, as bit patterns.
+type Pass = (Vec<u32>, Vec<u32>, Vec<u32>);
+
+fn param_grad_bits(layer: &dyn Layer) -> Vec<u32> {
+    let g: Vec<f32> = layer
+        .params()
+        .iter()
+        .flat_map(|p| p.grad.data().to_vec())
+        .collect();
+    bits(&g)
+}
+
+/// `n` samples of `shape` through a fresh layer: one batched
+/// forward/backward (`batched`) or `n` single-image passes (the serial
+/// oracle), from zeroed gradients.
+fn layer_pass(mut layer: Box<dyn Layer>, shape: &[usize], n: usize, batched: bool) -> Pass {
+    let out_shape = layer.output_shape(shape);
+    let in_len: usize = shape.iter().product();
+    let out_len: usize = out_shape.iter().product();
+    let x = fill(n * in_len, 0x5C4E);
+    let g = fill(n * out_len, 0x6A4D);
+    if batched {
+        let mut ws = LayerWs::new();
+        layer.forward_batch(&Tensor::from_vec(&[&[n], shape].concat(), x), &mut ws);
+        let out = bits(ws.out.as_ref().expect("forward ran").data());
+        let gt = Tensor::from_vec(&[&[n], &out_shape[..]].concat(), g);
+        layer.backward_batch(&gt, &mut ws).expect("forward ran");
+        let gi = bits(ws.grad_in.as_ref().expect("backward ran").data());
+        return (out, gi, param_grad_bits(&*layer));
+    }
+    let (mut out, mut gi) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let y = layer.forward(&Tensor::from_vec(
+            shape,
+            x[i * in_len..(i + 1) * in_len].to_vec(),
+        ));
+        out.extend_from_slice(y.data());
+        let gt = Tensor::from_vec(y.shape(), g[i * out_len..(i + 1) * out_len].to_vec());
+        gi.extend_from_slice(layer.backward(&gt).data());
+    }
+    (bits(&out), bits(&gi), param_grad_bits(&*layer))
+}
+
+/// The schedule axis: on every kernel, conv and FC
+/// `forward_batch`/`backward_batch` at batch {1, 2, 3, 8} × pool
+/// {1, 2, 7} equal `N` serial single-image passes bit for bit — bitwise
+/// for `blocked` (and the `naive` oracle), and for `simd` against its
+/// own serial passes (its documented tier). Both layers' products
+/// exceed `PAR_MIN_MACS`, so batch 1 also runs the banded products and
+/// batch 8 the pooled `Xᵀ` pack.
+#[test]
+fn schedule_axis_batched_equals_serial_on_every_kernel() {
+    type MakeLayer = fn(GemmBackend) -> Box<dyn Layer>;
+    let layers: [(&str, &[usize], MakeLayer); 2] = [
+        ("conv", &[4, 24, 24], |be| {
+            let mut l = Conv2d::new("c", 4, 16, 3, 1, 1, 3);
+            l.set_gemm_backend(be);
+            Box::new(l)
+        }),
+        ("fc", &[4096], |be| {
+            let mut l = Linear::new("f", 4096, 64, 4);
+            l.set_gemm_backend(be);
+            Box::new(l)
+        }),
+    ];
+    sweep_backends(|be| {
+        for (name, shape, make) in layers {
+            let serial: Vec<Pass> = {
+                let pool = ThreadPool::new(1);
+                let _installed = pool.install();
+                BATCH_SIZES
+                    .iter()
+                    .map(|&n| layer_pass(make(be), shape, n, false))
+                    .collect()
+            };
+            sweep_schedules(|threads, n| {
+                let want = &serial[BATCH_SIZES.iter().position(|&b| b == n).unwrap()];
+                let got = layer_pass(make(be), shape, n, true);
+                let tag = format!("{name} {be} n={n} pool={threads}");
+                assert_eq!(want.0, got.0, "forward {tag}");
+                assert_eq!(want.1, got.1, "input grad {tag}");
+                assert_eq!(want.2, got.2, "param grads {tag}");
+            });
+        }
+    });
+}
+
+/// The schedule axis on the Q8.8 engine: batched conv + FC forwards on
+/// every integer backend at batch {1, 2, 3, 8} × pool {1, 2, 7} equal
+/// the `Naive` oracle's serial single-image forwards, bit for bit.
+#[test]
+fn schedule_axis_q8_8_batched_equals_naive_serial() {
+    let spec = NetworkSpec::micro(16, 1, 5);
+    let mut q = QuantizedNet::from_network(&spec, &spec.build(9)).expect("spec-built net");
+    let x = mramrl_nn::difftest::fill01(8 * 256, 0x0A88);
+    q.set_backend(QGemmBackend::Naive);
+    let want: Vec<f32> = (0..8)
+        .flat_map(|i| {
+            q.forward(&Tensor::from_vec(
+                &[1, 16, 16],
+                x[i * 256..(i + 1) * 256].to_vec(),
+            ))
+            .data()
+            .to_vec()
+        })
+        .collect();
+    for be in QGemmBackend::ALL {
+        q.set_backend(be);
+        sweep_schedules(|threads, n| {
+            let xb = Tensor::from_vec(&[n, 1, 16, 16], x[..n * 256].to_vec());
+            // Outputs are dequantised Q8.8 values: equal bits ⇔ equal Q8.8.
+            let got = bits(q.forward_batch(&xb, &mut QWorkspace::new()).data());
+            assert_eq!(bits(&want[..n * 5]), got, "{be} n={n} pool={threads}");
         });
     }
 }

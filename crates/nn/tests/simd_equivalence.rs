@@ -5,15 +5,16 @@
 //! [`mramrl_nn::difftest`] harness (see `docs/gemm_backends.md` and
 //! `docs/fixed_point.md`):
 //!
-//! 1. **Q8.8 bitwise**: `QGemmBackend::Simd` equals the `Naive`
-//!    saturating oracle to the bit on every shape, pool width and
-//!    batch — certified rows ride `pmaddwd` lanes, uncertified rows
-//!    the scalar saturating chain, and the certificate is what keeps
-//!    the two indistinguishable.
+//! 1. **Q8.8 bitwise**: `QGemmBackend::Blocked` on its lanes equals
+//!    the `Naive` saturating oracle to the bit on every shape, pool
+//!    width and batch — certified rows ride `pmaddwd` lanes,
+//!    uncertified rows the scalar saturating chain, and the
+//!    certificate is what keeps the two indistinguishable.
 //! 2. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
-//!    threshold flip the verdict at the right point, and all four
-//!    integer backends agree bitwise on either side of it — in whole
+//!    threshold flip the verdict at the right point, and the blocked
+//!    kernel — on its lanes and forced scalar — agrees bitwise with
+//!    the oracle on either side of it — in whole
 //!    column tiles and in skinny `n < 4` products alike, and through
 //!    a whole [`QuantizedNet`] forward at batch 1 and 2.
 //! 3. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
@@ -37,14 +38,24 @@ use mramrl_nn::{simd, Network, NetworkSpec, QWorkspace, QuantizedNet, Tensor, Wo
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serialises the tests that take a [`simd::force_scalar`] guard. The
-/// guard is process-wide: without this, one test's guard would turn
-/// another's lane runs scalar, and the restore check in
+/// Serialises the tests that take a [`simd::force_scalar`] guard and
+/// the f32 `Simd` self-consistency tests. The guard is process-wide:
+/// without this, one test's guard would turn another's lane runs
+/// scalar mid-comparison, and the restore check in
 /// `forced_fallback_collapses_both_datapaths_onto_scalar_kernels`
 /// would race.
 fn scalar_gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` on the blocked integer kernel's `pmaddwd` lanes, then again
+/// under a [`simd::force_scalar`] guard (the scalar certified dots).
+fn lanes_then_scalar(mut f: impl FnMut(&str)) {
+    let _gate = scalar_gate();
+    f("lanes");
+    let _guard = simd::force_scalar();
+    f("scalar");
 }
 
 /// Runs one integer GEMM on the given backend into a fresh buffer.
@@ -93,7 +104,8 @@ fn boundary_rows(seed: u64) -> [Vec<Q8_8>; 3] {
 proptest! {
     /// Contract 1 at property scale: random ragged shapes (vector
     /// bodies, scalar tails, skinny `n < 4` columns, empty dims), random
-    /// operands, `Simd` vs the saturating oracle, bit for bit.
+    /// operands, the blocked kernel on its lanes vs the saturating
+    /// oracle, bit for bit.
     #[test]
     fn qsimd_matches_naive_bitwise(
         m in 0usize..10,
@@ -105,7 +117,7 @@ proptest! {
         let bt = qfill(n * k, seed ^ 0xBEEF);
         let bias = qfill(m, seed ^ 0xB1A5);
         let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
-        let got = qmm(QGemmBackend::Simd, &a, &bt, &bias, m, k, n);
+        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
         prop_assert_eq!(qbits(&want), qbits(&got), "m={} k={} n={}", m, k, n);
     }
 
@@ -141,10 +153,10 @@ proptest! {
     /// magnitudes only) land the bound exactly on `i32::MAX - 1`
     /// (certified), `i32::MAX` (first uncertified value) and
     /// `i32::MAX + 1` (uncertified): the verdict flips exactly at the
-    /// strict `< i32::MAX` comparison, and every integer backend
-    /// produces the oracle's bits on both sides of the flip — the
-    /// lane kernel must take the saturating chain the moment the
-    /// certificate fails.
+    /// strict `< i32::MAX` comparison, and the blocked kernel (lanes
+    /// and forced scalar) produces the oracle's bits on both sides of
+    /// the flip — the lane kernel must take the saturating chain the
+    /// moment the certificate fails.
     #[test]
     fn certificate_boundary_flips_exactly_and_all_backends_agree(seed in 0u64..1 << 40) {
         let sign = |i: usize| if (seed >> (i % 40)) & 1 == 0 { 1i16 } else { -1i16 };
@@ -160,19 +172,16 @@ proptest! {
             // ±1 entries keep max|b| = 1 while exercising sign mixes.
             let bt: Vec<Q8_8> = (0..n * k).map(|i| Q8_8::from_raw(sign(i * 3))).collect();
             let want = qmm(QGemmBackend::Naive, arow, &bt, &[zero], 1, k, n);
-            for be in [QGemmBackend::Blocked, QGemmBackend::Pooled, QGemmBackend::Simd] {
-                let got = qmm(be, arow, &bt, &[zero], 1, k, n);
-                prop_assert_eq!(
-                    qbits(&want), qbits(&got),
-                    "{} k={} L1-case", be, k
-                );
-            }
+            lanes_then_scalar(|leg| {
+                let got = qmm(QGemmBackend::Blocked, arow, &bt, &[zero], 1, k, n);
+                assert_eq!(qbits(&want), qbits(&got), "{leg} k={k} L1-case");
+            });
         }
     }
 }
 
 /// Contract 1 under the pool: a shape above `QPAR_MIN_MACS` forces the
-/// `Simd` row-band scatter at every pool width; the bits must be the
+/// blocked row-band scatter at every pool width; the bits must be the
 /// oracle's at each of them. Saturating rows are mixed in (a handful of
 /// `-128.0` rows make the certificate fail genuinely) so both paths
 /// cross the band boundaries.
@@ -193,7 +202,7 @@ fn qsimd_banded_matches_naive_at_every_pool_size() {
     let bias = qfill(m, 53);
     let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
     sweep_pools(|pool_threads| {
-        let got = qmm(QGemmBackend::Simd, &a, &bt, &bias, m, k, n);
+        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
         assert_eq!(qbits(&want), qbits(&got), "pool={pool_threads}");
     });
 }
@@ -373,7 +382,7 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
         let qbias = qfill(m, 66);
         assert_eq!(
             qbits(&qmm(QGemmBackend::Naive, &qa, &qbt, &qbias, m, k, n)),
-            qbits(&qmm(QGemmBackend::Simd, &qa, &qbt, &qbias, m, k, n)),
+            qbits(&qmm(QGemmBackend::Blocked, &qa, &qbt, &qbias, m, k, n)),
             "fallback qgemm ≡ oracle"
         );
     }
@@ -391,6 +400,7 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
 /// banding and per-sample batching invisible).
 #[test]
 fn f32_simd_is_invariant_under_row_splits() {
+    let _gate = scalar_gate();
     let (m, k, n) = (13usize, 96, 40);
     let a = fill(m * k, 71, false);
     let b = fill(k * n, 72, false);
@@ -409,6 +419,7 @@ fn f32_simd_is_invariant_under_row_splits() {
 /// `Blocked` family) equals the naive oracle bitwise throughout.
 #[test]
 fn f32_simd_banded_bits_are_pool_invariant() {
+    let _gate = scalar_gate();
     let (m, k, n) = (40usize, 80, 90);
     assert!(m * k * n >= 1 << 18, "shape must force the fan-out");
     let a = fill(m * k, 81, false);
@@ -436,6 +447,7 @@ fn f32_simd_banded_bits_are_pool_invariant() {
 /// tolerance tier, not just within the bitwise family).
 #[test]
 fn simd_network_batched_equals_serial_at_every_pool_size() {
+    let _gate = scalar_gate();
     let spec = NetworkSpec::micro(16, 1, 5);
     let n = 3usize;
     let data = fill(n * 256, 91, false);

@@ -211,7 +211,7 @@ impl QAgent {
         self.net.set_gemm_backend(backend);
         self.target.set_gemm_backend(backend);
         // The snapshot mirrors the float backend choice (naive→naive,
-        // blocked→blocked, threaded→pooled); rebuild on next use.
+        // blocked/simd→blocked); rebuild on next use.
         self.invalidate_quantized();
     }
 
@@ -341,13 +341,9 @@ impl QAgent {
     /// every network pass is a single batched GEMM chain instead of `N`
     /// serial ones. Returns the per-sample TD errors.
     ///
-    /// The target net's TD-target pass and the online net's pass touch
-    /// disjoint networks and workspaces, so their schedule is a pure
-    /// performance choice: when each pass is serial inside
-    /// (naive/blocked kernels) [`mramrl_nn::pool::join2`] overlaps the
-    /// two on the persistent pool; on the threaded backend they run
-    /// sequentially so each pass gets the whole pool for its batch-axis
-    /// fan-out. Neither schedule affects a single bit of either result.
+    /// The target net's TD-target pass and the online net's pass run
+    /// one after the other; each fans its batch out over the whole
+    /// persistent pool by itself.
     ///
     /// From zeroed gradient accumulators (the batch boundary,
     /// i.e. right after [`QAgent::apply_update`]), the accumulated
@@ -365,36 +361,22 @@ impl QAgent {
             ..
         } = self;
 
-        // The target net's TD-target forward is independent of the online
-        // net's next pass. Double-DQN: the online net picks a* per sample
+        // The target net's TD-target forward, then the online net's
+        // next pass. Double-DQN: the online net picks a* per sample
         // (overwrites the online workspace — harmless, the state forward
         // below re-fills it, exactly as the serial path re-runs forward);
         // vanilla: the online forward over the *states* runs instead, and
         // its activations are exactly what the backward below consumes.
-        //
-        // Scheduling (bit-identical either way — the passes share no
-        // state): when each pass is serial inside (naive/blocked, or a
-        // 1-executor pool) the pool overlaps the two via `join2`; on the
-        // threaded backend with real executors the passes run
-        // sequentially instead, because each one already fans out across
-        // the batch axis — overlapping would pin one forward to a single
-        // worker (nested pool calls run inline) and serialize its N
-        // per-sample tasks, costing more than the 2-way overlap buys.
-        let inner_parallel = net.gemm_backend() == Some(GemmBackend::Threaded)
-            && mramrl_nn::pool::current_threads() > 1;
-        let mut run_target = || target.forward_batch(&batch.next_states, target_ws).clone();
-        let mut run_online = || {
-            if self.double_q {
-                net.forward_batch(&batch.next_states, ws).clone()
-            } else {
-                net.forward_batch(&batch.states, ws).clone()
-            }
-        };
-        let (next_q, online_out) = if inner_parallel {
-            (run_target(), run_online())
+        // Both run sequentially: each pass already fans out over the
+        // pool (per-sample conv tasks, banded products), and on a
+        // 1-executor pool an overlap would be serial anyway.
+        let next_q = target.forward_batch(&batch.next_states, target_ws).clone();
+        let online_states = if self.double_q {
+            &batch.next_states
         } else {
-            mramrl_nn::pool::join2(run_target, run_online)
+            &batch.states
         };
+        let online_out = net.forward_batch(online_states, ws).clone();
         let a_star: Option<Vec<usize>> = self
             .double_q
             .then(|| (0..n).map(|i| argmax(online_out.sample(i))).collect());

@@ -24,16 +24,13 @@
 //! `run_vec`, which is bit-identical (at `K = 1`) to `run` — and the
 //! merged shard order equals the serial interleaving's single buffer.
 //!
-//! With `TrainerConfig::backend = GemmBackend::Threaded` and more than
-//! one executor on the persistent `mramrl_nn::pool`, the whole vec-step
-//! runs multi-core: lane rendering fans out inside [`VecEnv::step`] /
-//! [`mramrl_env::step_fleets`], the TD batch's per-sample conv passes
-//! and GEMM row bands fan out inside the layers, and the agent overlaps
-//! its independent target/online forwards. In deployment-precision
-//! acting the trainer additionally overlaps the learner's float update
-//! with the actors' Q8.8 forward (disjoint nets — the snapshot is
-//! frozen), all bit-identical to the serial schedule at any
-//! `NN_POOL_THREADS` (see `docs/threading.md`).
+//! With more than one executor on the persistent `mramrl_nn::pool`,
+//! the whole vec-step runs multi-core on every non-naive kernel: lane
+//! rendering fans out inside [`VecEnv::step`] /
+//! [`mramrl_env::step_fleets`], and the per-sample conv passes and GEMM
+//! row bands of every network pass (learner and actors, float and
+//! Q8.8) fan out inside the layers — all bit-identical to the serial
+//! schedule at any `NN_POOL_THREADS` (see `docs/threading.md`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -168,10 +165,8 @@ pub struct TrainLog {
 /// [`Trainer::run_parallel_timed`] run — the instrument behind the
 /// learner-bound vs actor-bound regime cells in `BENCH_batch.json`.
 ///
-/// Under the overlapped deployment-precision schedule the phase times
-/// are measured per role (inside each closure), so `learner_ns` vs
-/// `actor_ns + env_ns` compares how much work each side did — the
-/// bound-ness signal — rather than partitioning wall-clock.
+/// The phases run in turn, so `learner_ns` vs `actor_ns + env_ns`
+/// partitions the round's wall-clock — the bound-ness signal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Nanoseconds in the actors' action-selection (batched Q forward +
@@ -205,7 +200,7 @@ pub struct ParallelStats {
 /// — the natural publish point for serving layers
 /// (`mramrl_serve::LearnerPublisher` pushes
 /// [`QAgent::quantized_snapshot_shared`] into a `SnapshotStore` here).
-/// It runs at the pinned phase boundary, outside any overlap, and must
+/// It runs at the pinned phase boundary, after the learner phase, and must
 /// not mutate weights if bit-identity with the unhooked run is to hold
 /// (reading, or building the agent's cached Q8.8 snapshot, is fine).
 pub trait LearnerHook {
@@ -216,8 +211,8 @@ pub trait LearnerHook {
     /// weight-update count — including rounds that applied no update.
     /// This is the metering boundary for write-stream observers
     /// (`EnduranceScheduler` models one NVM write-back burst per update
-    /// here); like [`LearnerHook::on_target_sync`], it runs outside any
-    /// overlap and must not mutate the agent. The default does nothing.
+    /// here); like [`LearnerHook::on_target_sync`], it runs at the phase
+    /// boundary and must not mutate the agent. The default does nothing.
     fn on_round(&mut self, updates: u64) {
         let _ = updates;
     }
@@ -305,8 +300,8 @@ impl RolloutWs {
 /// merged shard view at the pre-drawn `idx`, accumulate, and apply a
 /// weight update when `batch_size` gradients have built up. Returns
 /// `true` when that update also synced the target network. Consumes no
-/// RNG (the indices are drawn by the caller, keeping the single stream
-/// valid under overlap) and is a no-op while the replay is empty
+/// RNG (the indices are drawn by the caller at the round start) and is
+/// a no-op while the replay is empty
 /// (`idx` empty).
 #[allow(clippy::too_many_arguments)]
 fn learner_phase(
@@ -508,10 +503,10 @@ impl Trainer {
     ///
     /// Size the `VecEnv` with [`Trainer::build_vec_env`] (which reads
     /// [`TrainerConfig::num_envs`]); a hand-built `venv` also works —
-    /// its lane count wins. Lane stepping and (on the `Threaded`
-    /// backend) every batched network pass parallelise on the
-    /// persistent `mramrl_nn::pool` without changing a single bit of
-    /// the trajectory — determinism stays seed-only.
+    /// its lane count wins. Lane stepping and every batched network
+    /// pass parallelise on the persistent `mramrl_nn::pool` without
+    /// changing a single bit of the trajectory — determinism stays
+    /// seed-only.
     ///
     /// This *is* [`Trainer::run_parallel`] with one fleet (the engines
     /// are literally the same function), so its trajectories are pinned
@@ -541,8 +536,7 @@ impl Trainer {
     /// [`ActingPrecision::FixedQ8_8`] the actors run the integer
     /// datapath from a frozen snapshot (refreshed every
     /// [`TrainerConfig::snapshot_refresh`] updates at the phase
-    /// boundary) and the learner's float update overlaps the actors'
-    /// forward on the pool — a pure scheduling choice, same bits.
+    /// boundary).
     ///
     /// # Panics
     ///
@@ -579,10 +573,9 @@ impl Trainer {
 
     /// The one engine behind `run_vec` / `run_parallel*`: the rotated
     /// act/learn schedule (learner drains the previous round, then the
-    /// actors extend the replay), which makes the learner phase
-    /// overlappable with the actors' forward in deployment precision
-    /// while staying bit-identical to the classic act-then-learn round
-    /// — the first learner phase of a run is empty, and one trailing
+    /// actors extend the replay), bit-identical to the classic
+    /// act-then-learn round — the first learner phase of a run is
+    /// empty, and one trailing
     /// learner phase after the loop completes the rotation.
     fn run_parallel_core(
         &self,
@@ -640,71 +633,32 @@ impl Trainer {
         while iter < cfg.iters {
             // 1. Pre-draw this learner phase's sample indices — they
             //    depend only on the merged length, so drawing them before
-            //    the (possibly overlapped) phase keeps the single RNG
-            //    stream identical to the serial interleaving's.
+            //    the phase keeps the single RNG stream identical to the
+            //    serial interleaving's.
             replay.sample_indices(&mut rng, lanes, &mut idx);
 
-            // 2. Learner phase (drains the previous rounds' replay) and
-            //    the actors' fused [lanes]-wide Q forward. In Q8.8
-            //    acting the two touch disjoint nets, so they overlap on
-            //    the pool — except on the Threaded backend, where each
-            //    pass already fans out across its batch axis and the
-            //    2-way overlap would pin each side to one worker (the
-            //    same heuristic as `QAgent::accumulate_td_batch`).
-            //    Either schedule produces identical bits.
-            let synced = match &actor_snap {
-                Some(snap) => {
-                    let sequential = cfg.backend == GemmBackend::Threaded
-                        || mramrl_nn::pool::current_threads() <= 1;
-                    let mut learner = || {
-                        let t0 = Instant::now();
-                        let s = learner_phase(
-                            agent,
-                            &sgd,
-                            cfg,
-                            &replay,
-                            &idx,
-                            &mut batch,
-                            &mut accumulated,
-                            &mut updates,
-                        );
-                        (s, t0.elapsed().as_nanos() as u64)
-                    };
-                    let snap = Arc::clone(snap);
-                    let (ws, qws) = (&mut ws, &mut qws);
-                    let mut actor = move || {
-                        let t0 = Instant::now();
-                        ws.q.copy_from(snap.q_values_batch(&ws.obs, qws));
-                        t0.elapsed().as_nanos() as u64
-                    };
-                    let ((synced, learner_ns), actor_ns) = if sequential {
-                        (learner(), actor())
-                    } else {
-                        mramrl_nn::pool::join2(learner, actor)
-                    };
-                    stats.learner_ns += learner_ns;
-                    stats.actor_ns += actor_ns;
-                    synced
-                }
-                None => {
-                    let t0 = Instant::now();
-                    let synced = learner_phase(
-                        agent,
-                        &sgd,
-                        cfg,
-                        &replay,
-                        &idx,
-                        &mut batch,
-                        &mut accumulated,
-                        &mut updates,
-                    );
-                    stats.learner_ns += t0.elapsed().as_nanos() as u64;
-                    let t0 = Instant::now();
-                    agent.q_values_batch_into(&ws.obs, &mut ws.q);
-                    stats.actor_ns += t0.elapsed().as_nanos() as u64;
-                    synced
-                }
-            };
+            // 2. Learner phase (drains the previous rounds' replay), then
+            //    the actors' fused [lanes]-wide Q forward — on the live
+            //    net, or on the frozen snapshot in Q8.8 acting. Each pass
+            //    fans out over the pool by itself, so they run in turn.
+            let t0 = Instant::now();
+            let synced = learner_phase(
+                agent,
+                &sgd,
+                cfg,
+                &replay,
+                &idx,
+                &mut batch,
+                &mut accumulated,
+                &mut updates,
+            );
+            stats.learner_ns += t0.elapsed().as_nanos() as u64;
+            let t0 = Instant::now();
+            match &actor_snap {
+                Some(snap) => ws.q.copy_from(snap.q_values_batch(&ws.obs, &mut qws)),
+                None => agent.q_values_batch_into(&ws.obs, &mut ws.q),
+            }
+            stats.actor_ns += t0.elapsed().as_nanos() as u64;
             if synced {
                 hook.on_target_sync(agent, updates);
             }

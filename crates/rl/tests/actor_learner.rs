@@ -86,8 +86,8 @@ fn curve_bits(l: &TrainLog) -> CurveBits {
 /// the top of each round the fleet installs the snapshot requested last
 /// round (if any), then — when the update cadence has fired — requests
 /// a fresh one from the current weights; the request arrives at the
-/// next round boundary, exactly as the overlapped engine (and a real
-/// learner → fleet link) delivers it.
+/// next round boundary, exactly as the engine (and a real learner →
+/// fleet link) delivers it.
 fn pinned_serial_reference(
     cfg: &TrainerConfig,
     agent: &mut QAgent,
@@ -271,12 +271,13 @@ fn run_parallel_matches_pinned_serial_interleaving() {
     }
 }
 
-/// The same equivalence holds on the other bitwise backends (each
-/// backend defines its own float-accumulation order, so trajectories
-/// are compared engine-vs-reference *within* a backend).
+/// The same equivalence holds on the other kernels — `Simd` too, whose
+/// FMA chains are bitwise self-consistent (each backend defines its own
+/// float-accumulation order, so trajectories are compared
+/// engine-vs-reference *within* a backend).
 #[test]
 fn reference_equivalence_holds_per_backend() {
-    for backend in [GemmBackend::Blocked, GemmBackend::Threaded] {
+    for backend in [GemmBackend::Blocked, GemmBackend::Simd] {
         for q88 in [false, true] {
             assert_matches_reference(2, q88, backend);
         }
@@ -301,19 +302,15 @@ fn one_fleet_equals_run_vec() {
     assert_eq!(a1.net().save_weights(), a2.net().save_weights());
 }
 
-/// Within each bitwise backend, the trajectory is invariant across pool
-/// sizes {1, 2, 7} — in both acting precisions (the Q8.8 run
-/// additionally overlaps learner and actor on multi-thread pools, which
-/// must not show). Backends are *not* compared to each other: each
+/// Within each backend, the trajectory is invariant across pool sizes
+/// {1, 2, 7} — in both acting precisions, with every non-naive pass
+/// fanning out its per-sample conv tasks and row bands on the
+/// multi-thread pools. Backends are *not* compared to each other: each
 /// defines its own float-accumulation order.
 #[test]
 fn pool_invariance_per_bitwise_backend() {
     for q88 in [false, true] {
-        for backend in [
-            GemmBackend::Naive,
-            GemmBackend::Blocked,
-            GemmBackend::Threaded,
-        ] {
+        for backend in GemmBackend::ALL {
             let mut reference: Option<(CurveBits, Vec<u8>)> = None;
             for pool_threads in [1usize, 2, 7] {
                 let pool = ThreadPool::new(pool_threads);

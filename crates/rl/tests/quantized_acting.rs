@@ -31,18 +31,36 @@ fn obs_batch(n: usize, hw: usize, seed: u64) -> Tensor {
     Tensor::from_vec(&[n, 1, hw, hw], data)
 }
 
+/// Serialises the forced-scalar leg with the float-training test: a
+/// [`mramrl_nn::simd::force_scalar`] guard is process-wide and would
+/// switch a concurrent `simd` float run onto the blocked kernel.
+fn scalar_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn tiny_env(seed: u64) -> DroneEnv {
     DroneEnv::new(EnvKind::IndoorApartment, seed)
         .with_camera(DepthCamera::new(16, 16, 1.5, 20.0, 0.01))
 }
 
 /// Quantised greedy actions equal argmax over the snapshot's own
-/// batched Q-values, on every integer backend × pool size — the agent
-/// adds routing, never arithmetic.
+/// batched Q-values, on every integer backend (the blocked kernel on
+/// its lanes and forced scalar) × pool size, reached from every float
+/// kernel — the agent adds routing, never arithmetic.
 #[test]
 fn quantised_acting_matches_engine_bitwise() {
+    use mramrl_nn::GemmBackend;
+    let _gate = scalar_gate();
     let obs = obs_batch(4, 16, 7);
-    for be in QGemmBackend::ALL {
+    for (be, float_be, scalar) in [
+        (QGemmBackend::Naive, GemmBackend::Naive, false),
+        (QGemmBackend::Blocked, GemmBackend::Blocked, false),
+        (QGemmBackend::Blocked, GemmBackend::Blocked, true),
+        (QGemmBackend::Blocked, GemmBackend::Simd, false),
+    ] {
+        let _scalar = scalar.then(mramrl_nn::simd::force_scalar);
         for pool_threads in [1usize, 2, 7] {
             let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
             let _installed = pool.install();
@@ -60,16 +78,11 @@ fn quantised_acting_matches_engine_bitwise() {
             // Drive the agent's own snapshot through the same backend.
             let mut agent2 =
                 QAgent::new(&spec(), 3).with_acting_precision(ActingPrecision::FixedQ8_8);
-            agent2.set_gemm_backend(match be {
-                QGemmBackend::Naive => mramrl_nn::GemmBackend::Naive,
-                QGemmBackend::Blocked => mramrl_nn::GemmBackend::Blocked,
-                QGemmBackend::Pooled => mramrl_nn::GemmBackend::Threaded,
-                QGemmBackend::Simd => mramrl_nn::GemmBackend::Simd,
-            });
+            agent2.set_gemm_backend(float_be);
             assert_eq!(
                 agent2.greedy_actions(&obs),
                 want,
-                "backend={be} pool={pool_threads}"
+                "backend={be} via {float_be} scalar={scalar} pool={pool_threads}"
             );
         }
     }
@@ -136,6 +149,7 @@ fn snapshot_refreshes_after_weight_update() {
 /// Q8.8 greedy acting agree on ≥ 80 % of on-policy frames.
 #[test]
 fn trained_policy_argmax_fidelity_at_least_80_pct() {
+    let _gate = scalar_gate();
     let mut env = tiny_env(5);
     let mut agent = QAgent::new(&spec(), 1);
     let _ = Trainer::new(TrainerConfig::online(400, 1)).run(&mut agent, &mut env);

@@ -63,7 +63,14 @@ fn replay_is_bit_identical_across_backends_and_pools() {
         pool: None,
     };
     let mut reference: Option<(Vec<u8>, u64)> = None;
-    for backend in QGemmBackend::ALL {
+    // The blocked kernel runs on its pmaddwd lanes where the host has
+    // them and on scalar dots under a force_scalar guard: both legs.
+    for (backend, scalar) in [
+        (QGemmBackend::Naive, false),
+        (QGemmBackend::Blocked, false),
+        (QGemmBackend::Blocked, true),
+    ] {
+        let _scalar = scalar.then(mramrl_nn::simd::force_scalar);
         for pool_threads in [1usize, 4] {
             let pool = ThreadPool::new(pool_threads);
             let _installed = pool.install();
@@ -71,14 +78,14 @@ fn replay_is_bit_identical_across_backends_and_pools() {
             assert_eq!(
                 log.records().len(),
                 trace.len(),
-                "{backend:?} pool={pool_threads}: every request decided exactly once"
+                "{backend:?} scalar={scalar} pool={pool_threads}: every request decided exactly once"
             );
             let bytes = (log.to_bytes(), log.digest());
             match &reference {
                 None => reference = Some(bytes),
                 Some(r) => assert_eq!(
                     r, &bytes,
-                    "{backend:?} pool={pool_threads}: action log diverged"
+                    "{backend:?} scalar={scalar} pool={pool_threads}: action log diverged"
                 ),
             }
         }
@@ -343,7 +350,7 @@ fn mismatched_publish_panics_in_the_caller_and_serving_continues() {
 
 #[test]
 fn live_service_pool_injection_changes_nothing() {
-    let backend = QGemmBackend::Pooled;
+    let backend = QGemmBackend::Blocked;
     let net = qnet(42, backend);
     let obs = obs_set(6);
     let expected = expected_actions(&net, &obs);
