@@ -6,7 +6,7 @@
 //! Fig. 12/13 (hardware) results, and the source of the endurance
 //! ablation's write-traffic numbers.
 
-use mramrl_env::{DroneEnv, EnvKind};
+use mramrl_env::{DroneEnv, EnvKind, VecEnv};
 use mramrl_mem::tech::TechParams;
 use mramrl_mem::WearTracker;
 use mramrl_nn::Topology;
@@ -97,8 +97,10 @@ impl DeploymentSim {
             20.0,
             0.02,
         );
-        let mut env = DroneEnv::new(self.env_kind, self.seed).with_camera(cam);
-        let log = Trainer::new(TrainerConfig::online(frames, self.seed)).run(&mut agent, &mut env);
+        let env = DroneEnv::new(self.env_kind, self.seed).with_camera(cam);
+        let mut venv = VecEnv::from_envs(vec![env]);
+        let log =
+            Trainer::new(TrainerConfig::online(frames, self.seed)).run_vec(&mut agent, &mut venv);
 
         // Hardware side: full-size per-frame costs × frames.
         let model = self.platform.model();
@@ -108,22 +110,13 @@ impl DeploymentSim {
         let energy_j = it.total_mj * iterations as f64 * 1e-3;
         let compute_s = it.total_ms * iterations as f64 * 1e-3;
 
-        // NVM write traffic: zero for write-free platforms; E2E writes the
-        // MRAM-resident weights back every iteration plus FC1's per-image
-        // gradient RMW.
-        let nvm_bytes_written = if self.platform.is_nvm_write_free(topo) {
-            0
-        } else {
-            let mram_weights = self.platform.placement().mram_weight_bytes();
-            let spilled: u64 = self
-                .platform
-                .placement()
-                .spilled_layers()
-                .iter()
-                .map(|l| l.weight_bytes)
-                .sum();
-            iterations * mram_weights + frames * spilled
-        };
+        // NVM write traffic, on the placement's write-stream model: each
+        // update writes back the MRAM-resident trainable weights (never
+        // the frozen trunk) and each frame pays the spilled-gradient
+        // RMW. Both are zero on a write-free platform.
+        let plan = self.platform.placement();
+        let nvm_bytes_written =
+            iterations * plan.mram_trainable_weight_bytes() + frames * plan.mram_gradient_bytes();
         let mut wear = WearTracker::new(
             TechParams::stt_mram(),
             (self.platform.mram_capacity_mb() * 1.0e6) as u64,

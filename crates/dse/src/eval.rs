@@ -69,26 +69,17 @@ pub fn evaluate(cfg: &DseConfig) -> DseResult {
     let train_latency_ms = platform.model().per_image(cfg.topology).total_ms();
     let nvm_write_free = platform.is_nvm_write_free(cfg.topology);
 
-    // The write stream mirrors `DeploymentSim::fly`: write-free designs
-    // never touch the stack; otherwise every weight update writes back
-    // the MRAM-resident *trainable* weights (one update per batch) and
-    // every frame pays the spilled-gradient read-modify-write. The
-    // scenario mix scales how often training happens at all.
+    // The write stream is the placement's (the model `DeploymentSim`
+    // and `EnduranceScheduler` share): write-free designs never touch
+    // the stack; otherwise every weight update (one per batch) writes
+    // `mram_trainable_weight_bytes` and every frame pays the
+    // `mram_gradient_bytes` read-modify-write. The scenario mix scales
+    // how often training happens at all.
     let (nvm_write_bytes_per_s, lifetime_years) = if nvm_write_free {
         (0.0, None)
     } else {
-        let resident: u64 = platform
-            .placement()
-            .mram_resident_trainable()
-            .iter()
-            .map(|l| l.weight_bytes)
-            .sum();
-        let spilled: u64 = platform
-            .placement()
-            .spilled_layers()
-            .iter()
-            .map(|l| l.weight_bytes)
-            .sum();
+        let resident = platform.placement().mram_trainable_weight_bytes();
+        let spilled = platform.placement().mram_gradient_bytes();
         let per_s = cfg.mix.online_duty()
             * (fps / cfg.batch as f64 * resident as f64 + fps * spilled as f64);
         let tracker = WearTracker::new(tech_params(cfg.tech), (cfg.mram_mb * 1.0e6) as u64);

@@ -135,7 +135,7 @@ impl VecEnv {
     /// auto-reset: lane `i`'s result is exactly
     /// `self.env(i).step(actions[i])`, and crashed lanes wait for an
     /// explicit [`VecEnv::reset`] (the caller records the crash
-    /// transition first, as in the serial loop).
+    /// transition first).
     ///
     /// With more than one pool executor, contiguous lane chunks step in
     /// parallel on the persistent [`mramrl_nn::pool`]. Lanes share

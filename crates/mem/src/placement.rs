@@ -110,7 +110,7 @@ impl PlacementRequest {
 /// let plan = PlacementPlan::solve(&req)?;
 /// assert_eq!(plan.mram_weight_bytes(), 1800);
 /// assert_eq!(plan.sram_used_bytes(), 100 + 100 + 50);
-/// assert!(plan.spilled_layers().is_empty());
+/// assert_eq!(plan.mram_gradient_bytes(), 0);
 /// # Ok::<(), mramrl_mem::MemError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -216,7 +216,9 @@ impl PlacementPlan {
             .sum()
     }
 
-    /// Total gradient-accumulator bytes spilled to MRAM.
+    /// Total gradient-accumulator bytes spilled to MRAM — the NVM write
+    /// stream's per-frame half: every training image read-modify-writes
+    /// these accumulators in the stack.
     pub fn mram_gradient_bytes(&self) -> u64 {
         self.placements
             .iter()
@@ -258,20 +260,16 @@ impl PlacementPlan {
         self.mram_weight_bytes() as f64 / MB
     }
 
-    /// Trainable layers whose gradient accumulators spilled to MRAM.
-    pub fn spilled_layers(&self) -> Vec<&LayerPlacement> {
-        self.placements
-            .iter()
-            .filter(|p| p.gradient_spilled())
-            .collect()
-    }
-
-    /// Trainable layers whose *weights* could not be kept in SRAM.
-    pub fn mram_resident_trainable(&self) -> Vec<&LayerPlacement> {
+    /// Weight bytes of the trainable layers that could not be kept in
+    /// SRAM — the NVM write stream's per-update half: every weight update
+    /// writes these layers back to the stack. Frozen layers are never
+    /// written, wherever they live.
+    pub fn mram_trainable_weight_bytes(&self) -> u64 {
         self.placements
             .iter()
             .filter(|p| p.trainable && p.weights_in == StorageClass::Mram)
-            .collect()
+            .map(|p| p.weight_bytes)
+            .sum()
     }
 
     /// `true` when every trainable layer fits entirely on-die — the
@@ -362,7 +360,7 @@ mod tests {
             plan.mram_weight_mb()
         );
         assert!(plan.is_write_free_nvm());
-        assert!(plan.spilled_layers().is_empty());
+        assert_eq!(plan.mram_gradient_bytes(), 0);
     }
 
     #[test]
@@ -382,7 +380,8 @@ mod tests {
         // FC2–FC5: 29.38 MB weights + same gradients + 4.2 scratch ≈ 63 MB.
         let tight = solve(4, 30.0);
         assert!(!tight.is_write_free_nvm());
-        assert_eq!(tight.mram_resident_trainable().len(), 1); // FC2 stays in MRAM
+        // FC2 stays in MRAM: its weights are the per-update write-back.
+        assert_eq!(tight.mram_trainable_weight_bytes(), 8_390_656 * 2);
         let roomy = solve(4, 63.0);
         assert!(roomy.is_write_free_nvm());
         assert!(

@@ -203,7 +203,7 @@ impl QAgent {
     /// (the target network's forward pass is just as hot as the online
     /// one — every TD update evaluates it).
     ///
-    /// Note: [`crate::Trainer::run`] re-applies its own
+    /// Note: every [`crate::Trainer`] driver re-applies its own
     /// `TrainerConfig::backend` at the start of every run — to pick a
     /// backend for training, set it on the config rather than (only)
     /// here.
@@ -226,11 +226,10 @@ impl QAgent {
         match self.acting {
             ActingPrecision::Float32 => self.net.forward(obs),
             ActingPrecision::FixedQ8_8 => {
-                // Batch-of-1 through the agent's reusable workspace —
-                // unlike the engine's throwaway-workspace `forward`
-                // wrapper, serial deployment acting (every env step of
-                // `Trainer::evaluate`/`run`) stays allocation-free in
-                // the steady state. Bit-identical to the wrapper by the
+                // Batch-of-1 through the agent's reusable workspace
+                // rather than the engine's throwaway-workspace `forward`
+                // wrapper, so repeated single-observation acting reuses
+                // its buffers. Bit-identical to the wrapper by the
                 // batched ≡ serial contract.
                 self.quantized_snapshot();
                 let Self { qsnap, qws, .. } = self;

@@ -1,18 +1,17 @@
 //! The online training loop (TL phase and deployment phase share it).
 //!
-//! Three drivers share the configuration: [`Trainer::run`] steps one
-//! [`DroneEnv`] serially (the paper's §V "one image at a time" platform
-//! model), [`Trainer::run_vec`] steps a [`VecEnv`] of `K` lanes with
-//! every hot pass batched, and [`Trainer::run_parallel`] is the
-//! actor/learner architecture: `N` rollout fleets (each a `VecEnv`,
-//! optionally acting in [`ActingPrecision::FixedQ8_8`] deployment
-//! precision from a periodically refreshed snapshot) feed a
+//! One engine drives every run: [`Trainer::run_parallel`] is the
+//! actor/learner architecture — `N` rollout fleets (each a
+//! [`VecEnv`], optionally acting in [`ActingPrecision::FixedQ8_8`]
+//! deployment precision from a periodically refreshed snapshot) feed a
 //! [`ShardedReplay`] — one shard per fleet, no cross-fleet coordination
 //! on the push path — and one batched learner drains the shards on a
 //! **deterministic schedule**: a fixed-order transition merge and a
 //! pinned sampling/update interleaving, the same bit-identity
-//! discipline as the pool combinators. `run_vec` *is* the one-fleet
-//! case of that schedule, so the whole family reduces to one engine.
+//! discipline as the pool combinators. [`Trainer::run_vec`] is its
+//! one-fleet case; a one-lane `VecEnv` is the paper's §V "one image at
+//! a time" platform model. [`evaluate_vec`] is the one frozen-policy
+//! evaluation loop.
 //!
 //! The pinned schedule (see `docs/training.md` for the proof sketch):
 //! per round, the learner first drains the previous round's replay
@@ -21,8 +20,8 @@
 //! fleet-major, step all lanes in one pooled scatter and push
 //! fleet-major into their shards. This is a *rotation* of the classic
 //! act-then-learn round, so `run_parallel(1 fleet)` is bit-identical to
-//! `run_vec`, which is bit-identical (at `K = 1`) to `run` — and the
-//! merged shard order equals the serial interleaving's single buffer.
+//! `run_vec` — and the merged shard order equals the serial
+//! interleaving's single buffer.
 //!
 //! With more than one executor on the persistent `mramrl_nn::pool`,
 //! the whole vec-step runs multi-core on every non-naive kernel: lane
@@ -35,7 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mramrl_env::{step_fleets, Action, DroneEnv, EnvKind, Image, ScenarioSpec, VecEnv};
+use mramrl_env::{step_fleets, Action, EnvKind, Image, ScenarioSpec, VecEnv};
 use mramrl_nn::{GemmBackend, QWorkspace, QuantizedNet, Sgd, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,7 +42,7 @@ use rand::SeedableRng;
 use crate::agent::{ActingPrecision, QAgent};
 use crate::metrics::{MovingAverage, SafeFlightTracker};
 use crate::policy::EpsilonSchedule;
-use crate::replay::{ReplayBuffer, ShardedReplay, Transition, TransitionBatch};
+use crate::replay::{ShardedReplay, Transition, TransitionBatch};
 
 /// Training-loop configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +79,8 @@ pub struct TrainerConfig {
     /// Environment lanes **per fleet** for the vectorized drivers:
     /// [`Trainer::build_vec_env`] and [`Trainer::build_fleets`] size
     /// their fleets from this, and the learner's TD batches are one
-    /// transition per lane per round. The serial [`Trainer::run`]
-    /// ignores it. Default 1.
+    /// transition per lane per round. A hand-built `VecEnv`'s own lane
+    /// count wins. Default 1.
     pub num_envs: usize,
     /// Datapath the rollout actors of [`Trainer::run_parallel`] select
     /// actions on. [`ActingPrecision::Float32`] acts on the live online
@@ -223,14 +222,12 @@ impl LearnerHook for () {
     fn on_target_sync(&mut self, _agent: &mut QAgent, _updates: u64) {}
 }
 
-/// Caller-owned rollout workspace: the actor side's persistent buffers.
-///
-/// Kills the per-vec-step allocations the old `run_vec` made
-/// (`stack_observations` rebuilt the `[K,C,H,W]` batch and `to_tensor`
-/// heap-allocated one frame per lane per step): observations are written
-/// in place into one batched tensor, Q-values land in a reused output,
-/// and frame buffers cycle through a free pool fed by replay evictions
-/// (`Arc::try_unwrap` on the evicted transition's frames).
+/// Caller-owned rollout workspace: the actor side's persistent buffers,
+/// so a vec-step allocates nothing in the steady state. Observations
+/// are written in place into one batched tensor, Q-values land in a
+/// reused output, and frame buffers cycle through a free pool fed by
+/// replay evictions (`Arc::try_unwrap` on the evicted transition's
+/// frames).
 struct RolloutWs {
     /// Batched observations `[lanes, 1, H, W]`, overwritten in place.
     obs: Tensor,
@@ -253,18 +250,15 @@ impl RolloutWs {
         for fl in fleets.iter_mut() {
             first.extend(fl.reset_all());
         }
-        let lanes = first.len();
-        let (h, w) = (first[0].height(), first[0].width());
         let mut ws = Self {
-            obs: Tensor::zeros(&[lanes, 1, h, w]),
+            obs: observation_batch(&first),
             q: Tensor::zeros(&[1]),
-            prev: Vec::with_capacity(lanes),
+            prev: Vec::with_capacity(first.len()),
             free: Vec::new(),
-            frame_shape: [1, h, w],
+            frame_shape: [1, first[0].height(), first[0].width()],
             frame_allocs: 0,
         };
-        for (lane, img) in first.iter().enumerate() {
-            ws.obs.sample_mut(lane).copy_from_slice(img.data());
+        for img in &first {
             let frame = ws.frame(img.data());
             ws.prev.push(frame);
         }
@@ -294,6 +288,16 @@ impl RolloutWs {
             }
         }
     }
+}
+
+/// One lane's observation per row: the `[lanes, 1, H, W]` batch the
+/// actors' forward reads, updated in place lane by lane afterwards.
+fn observation_batch(imgs: &[Image]) -> Tensor {
+    let mut obs = Tensor::zeros(&[imgs.len(), 1, imgs[0].height(), imgs[0].width()]);
+    for (lane, img) in imgs.iter().enumerate() {
+        obs.sample_mut(lane).copy_from_slice(img.data());
+    }
+    obs
 }
 
 /// The learner phase of the pinned schedule: fill the TD batch from the
@@ -339,7 +343,8 @@ fn learner_phase(
     }
 }
 
-/// Runs the Q-learning loop of §II on a [`DroneEnv`].
+/// Runs the Q-learning loop of §II on rollout fleets of [`VecEnv`]
+/// lanes.
 #[derive(Debug, Clone, Copy)]
 pub struct Trainer {
     cfg: TrainerConfig,
@@ -402,104 +407,15 @@ impl Trainer {
         VecEnv::from_spec(spec, self.cfg.num_envs * n).split(n)
     }
 
-    /// Runs the loop: act ε-greedily, record the transition, accumulate
-    /// one replayed TD gradient per image, update every `batch_size`
-    /// images (§III-D's batched update), log Fig. 10 metrics.
-    pub fn run(&self, agent: &mut QAgent, env: &mut DroneEnv) -> TrainLog {
-        let cfg = &self.cfg;
-        agent.set_gemm_backend(cfg.backend);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED_5EED);
-        let sgd = Sgd::new(cfg.lr).with_grad_clip(cfg.grad_clip);
-        let mut replay = ReplayBuffer::new(cfg.replay_capacity);
-
-        let mut cum_reward = MovingAverage::new(cfg.metrics_window);
-        let mut return_ma = MovingAverage::new((cfg.metrics_window / 64).max(4));
-        let mut sfd = SafeFlightTracker::new();
-        let mut curve = Vec::new();
-
-        let mut episode_reward_sum = 0.0f32;
-        let mut episode_actions = 0u64;
-        let mut accumulated = 0usize;
-        let mut next_log = 0u64;
-
-        let mut obs = Arc::new(to_tensor(&env.reset()));
-        for iter in 0..cfg.iters {
-            let q = agent.q_values(&obs);
-            let a = cfg.epsilon.choose(&q, iter, &mut rng);
-            let step = env.step(Action::from_index(a));
-            let next = Arc::new(to_tensor(&step.observation));
-
-            cum_reward.push(step.reward);
-            episode_reward_sum += step.reward;
-            episode_actions += 1;
-
-            // Frames are shared, not copied: this transition's
-            // `next_state` and the next one's `state` are the same Arc.
-            replay.push(Transition {
-                state: core::mem::replace(&mut obs, Arc::clone(&next)),
-                action: a,
-                reward: step.reward,
-                next_state: next,
-                terminal: step.crashed,
-            });
-
-            // One TD gradient per image, drawn from replay (decorrelated).
-            if let Some(t) = replay.sample(&mut rng) {
-                let t = t.clone();
-                agent.accumulate_td(&t);
-                accumulated += 1;
-            }
-            if accumulated >= cfg.batch_size {
-                agent.apply_update(&sgd, accumulated, cfg.target_sync);
-                accumulated = 0;
-            }
-
-            if step.crashed {
-                return_ma.push(episode_reward_sum / episode_actions.max(1) as f32);
-                sfd.record_episode(env.episode_distance());
-                episode_reward_sum = 0.0;
-                episode_actions = 0;
-                obs = Arc::new(to_tensor(&env.reset()));
-            }
-
-            // Exactly one curve point per `log_every` window: log the
-            // first iteration at or past each window start (for serial
-            // stepping, the multiples of `log_every`). End-of-run state
-            // lives in `TrainLog::final_reward`, so no extra final
-            // point is emitted.
-            if iter >= next_log {
-                curve.push(CurvePoint {
-                    iter,
-                    cumulative_reward: cum_reward.value(),
-                    avg_return: return_ma.value(),
-                });
-                next_log = (iter / cfg.log_every + 1) * cfg.log_every;
-            }
-        }
-        // Censored final episode still informs SFD.
-        if env.episode_distance() > 0.0 {
-            sfd.record_episode(env.episode_distance());
-        }
-
-        let episodes = sfd.episodes() as u64;
-        let tail = (sfd.episodes() / 3).max(3);
-        TrainLog {
-            episodes,
-            sfd: sfd.tail_mean(tail),
-            sfd_overall: sfd.mean(),
-            final_reward: cum_reward.value(),
-            curve,
-        }
-    }
-
     /// The vectorized loop: `K = venv.len()` lanes act together. Each
     /// vec-step runs **one** batched Q forward for action selection
     /// (`[K, ...]` observations), records `K` transitions, accumulates a
     /// `K`-sized replayed TD batch via [`QAgent::accumulate_td_batch`]
-    /// (one TD gradient per image, as in the serial loop) and applies the
+    /// (one TD gradient per image) and applies the
     /// §III-D batched update once `batch_size` gradients have
     /// accumulated. `iters` counts total environment steps across lanes,
-    /// so wall-clock work matches [`Trainer::run`] at equal `iters`.
+    /// so work is the same at any `K` for equal `iters`. One lane
+    /// (`VecEnv::from_envs(vec![env])`) steps a single drone serially.
     ///
     /// Size the `VecEnv` with [`Trainer::build_vec_env`] (which reads
     /// [`TrainerConfig::num_envs`]); a hand-built `venv` also works —
@@ -510,8 +426,8 @@ impl Trainer {
     ///
     /// This *is* [`Trainer::run_parallel`] with one fleet (the engines
     /// are literally the same function), so its trajectories are pinned
-    /// both downward (`K = 1` ≡ [`Trainer::run`]) and upward (the
-    /// one-fleet case of the actor/learner schedule).
+    /// by the actor/learner suite's independent serial reference,
+    /// `K = 1` included.
     pub fn run_vec(&self, agent: &mut QAgent, venv: &mut VecEnv) -> TrainLog {
         self.run_parallel_core(agent, core::slice::from_mut(venv), &mut ())
             .0
@@ -722,9 +638,11 @@ impl Trainer {
             }
             stats.transitions += lanes as u64;
 
-            // Same cadence as `run`: exactly one curve point per
-            // `log_every` window — the first round at or past each
-            // window start.
+            // Exactly one curve point per `log_every` window — the
+            // first round at or past each window start (for one lane,
+            // the multiples of `log_every`). End-of-run state lives in
+            // `TrainLog::final_reward`, so no extra final point is
+            // emitted.
             if iter >= next_log {
                 curve.push(CurvePoint {
                     iter,
@@ -782,23 +700,6 @@ impl Trainer {
     }
 }
 
-/// Stacks per-lane observations `[C,H,W]` into one `[K, C, H, W]` batch.
-fn stack_observations(obs: &[Tensor]) -> Tensor {
-    let mut shape = Vec::with_capacity(obs[0].shape().len() + 1);
-    shape.push(obs.len());
-    shape.extend_from_slice(obs[0].shape());
-    let mut data = Vec::with_capacity(obs.len() * obs[0].len());
-    for o in obs {
-        data.extend_from_slice(o.data());
-    }
-    Tensor::from_vec(&shape, data)
-}
-
-/// Depth image → CNN input tensor.
-pub(crate) fn to_tensor(img: &Image) -> Tensor {
-    Tensor::from_vec(&[1, img.height(), img.width()], img.data().to_vec())
-}
-
 /// Result of a frozen-policy evaluation flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
@@ -811,57 +712,17 @@ pub struct EvalResult {
     pub mean_reward: f32,
 }
 
-/// Evaluates a frozen policy for `steps` environment steps with a small
-/// residual exploration `eps` (breaks limit cycles without materially
-/// perturbing the policy). No learning happens.
+/// Evaluates a frozen policy over a [`VecEnv`] for `steps` environment
+/// steps with a small residual exploration `eps` (breaks limit cycles
+/// without materially perturbing the policy). No learning happens; one
+/// batched Q forward per vec-step. `steps` counts total environment
+/// steps across all lanes (rounded up to a whole vec-step).
 ///
 /// This is the measurement used for Fig. 11's safe-flight distance: it
 /// decouples the SFD statistic from the exploration schedule that is
-/// still active at the end of training.
-///
-/// # Panics
-///
-/// Panics if `steps` is zero or `eps` is outside `[0, 1]`.
-pub fn evaluate(
-    agent: &mut QAgent,
-    env: &mut DroneEnv,
-    steps: u64,
-    eps: f32,
-    seed: u64,
-) -> EvalResult {
-    assert!(steps > 0, "evaluation needs steps");
-    assert!((0.0..=1.0).contains(&eps), "eps must be a probability");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xEAA1_EAA1);
-    let schedule = EpsilonSchedule::new(eps.max(1e-6), eps.max(1e-6), 1);
-    let mut sfd = SafeFlightTracker::new();
-    let mut reward_sum = 0.0f64;
-
-    let mut obs = to_tensor(&env.reset());
-    for step in 0..steps {
-        let q = agent.q_values(&obs);
-        let a = schedule.choose(&q, step, &mut rng);
-        let s = env.step(Action::from_index(a));
-        reward_sum += f64::from(s.reward);
-        if s.crashed {
-            sfd.record_episode(env.episode_distance());
-            obs = to_tensor(&env.reset());
-        } else {
-            obs = to_tensor(&s.observation);
-        }
-    }
-    if env.episode_distance() > 0.0 {
-        sfd.record_episode(env.episode_distance());
-    }
-    EvalResult {
-        sfd: sfd.mean(),
-        episodes: sfd.episodes() as u64,
-        mean_reward: (reward_sum / steps as f64) as f32,
-    }
-}
-
-/// Vectorized [`evaluate`]: freezes the policy over a [`VecEnv`], one
-/// batched Q forward per vec-step. `steps` counts total environment
-/// steps across all lanes (rounded up to a whole vec-step).
+/// still active at the end of training. Lane observations are written
+/// in place into one reused `[K, 1, H, W]` batch, as the training
+/// rollout does.
 ///
 /// **Deployment-mode fixed-point evaluation**: set the agent to
 /// [`crate::ActingPrecision::FixedQ8_8`] first and every batched Q
@@ -889,20 +750,24 @@ pub fn evaluate_vec(
     let mut sfd = SafeFlightTracker::new();
     let mut reward_sum = 0.0f64;
 
-    let mut obs: Vec<Tensor> = venv.reset_all().iter().map(to_tensor).collect();
+    let mut obs = observation_batch(&venv.reset_all());
+    let mut q = Tensor::zeros(&[1]);
+    let mut act: Vec<Action> = Vec::with_capacity(k);
     let mut stepped = 0u64;
     while stepped < steps {
-        let q = agent.q_values_batch(&stack_observations(&obs));
-        let act: Vec<Action> = (0..k)
-            .map(|i| Action::from_index(schedule.choose_slice(q.sample(i), stepped, &mut rng)))
-            .collect();
+        agent.q_values_batch_into(&obs, &mut q);
+        act.clear();
+        act.extend(
+            (0..k)
+                .map(|i| Action::from_index(schedule.choose_slice(q.sample(i), stepped, &mut rng))),
+        );
         for (i, s) in venv.step(&act).iter().enumerate() {
             reward_sum += f64::from(s.reward);
             if s.crashed {
                 sfd.record_episode(venv.episode_distance(i));
-                obs[i] = to_tensor(&venv.reset(i));
+                obs.sample_mut(i).copy_from_slice(venv.reset(i).data());
             } else {
-                obs[i] = to_tensor(&s.observation);
+                obs.sample_mut(i).copy_from_slice(s.observation.data());
             }
         }
         stepped += k as u64;
@@ -922,7 +787,7 @@ pub fn evaluate_vec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mramrl_env::EnvKind;
+    use mramrl_env::DroneEnv;
     use mramrl_nn::NetworkSpec;
 
     fn tiny_env() -> DroneEnv {
@@ -930,23 +795,32 @@ mod tests {
             .with_camera(mramrl_env::DepthCamera::new(16, 16, 1.5, 20.0, 0.01))
     }
 
+    /// A `k`-lane fleet of identical tiny environments.
+    fn tiny_venv(k: usize) -> VecEnv {
+        VecEnv::from_envs((0..k).map(|_| tiny_env()).collect())
+    }
+
     #[test]
-    fn run_produces_curves_and_episodes() {
-        let mut env = tiny_env();
-        let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
-        let log = Trainer::new(TrainerConfig::online(300, 1)).run(&mut agent, &mut env);
-        assert!(!log.curve.is_empty());
-        assert!(log.curve.iter().all(|p| p.cumulative_reward.is_finite()));
-        assert!(log.episodes > 0, "a fresh agent must crash sometimes");
-        assert!(log.sfd >= 0.0);
+    fn run_vec_produces_curves_and_episodes() {
+        for k in [1, 3] {
+            let mut venv = tiny_venv(k);
+            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
+            let mut cfg = TrainerConfig::online(300, 1);
+            cfg.num_envs = k;
+            let log = Trainer::new(cfg).run_vec(&mut agent, &mut venv);
+            assert!(!log.curve.is_empty(), "k={k}");
+            assert!(log.curve.iter().all(|p| p.cumulative_reward.is_finite()));
+            assert!(log.episodes > 0, "a fresh agent must crash sometimes");
+            assert!(log.sfd >= 0.0);
+        }
     }
 
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut env = tiny_env();
+            let mut venv = tiny_venv(1);
             let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), seed);
-            Trainer::new(TrainerConfig::online(120, seed)).run(&mut agent, &mut env)
+            Trainer::new(TrainerConfig::online(120, seed)).run_vec(&mut agent, &mut venv)
         };
         let (a, b) = (run(3), run(3));
         assert_eq!(a.final_reward, b.final_reward);
@@ -965,8 +839,8 @@ mod tests {
             .take(1)
             .flat_map(|l| l.params().into_iter().flat_map(|p| p.value.data().to_vec()))
             .collect();
-        let mut env = tiny_env();
-        let _ = Trainer::new(TrainerConfig::online(100, 2)).run(&mut agent, &mut env);
+        let mut venv = tiny_venv(1);
+        let _ = Trainer::new(TrainerConfig::online(100, 2)).run_vec(&mut agent, &mut venv);
         let conv_after: Vec<f32> = agent
             .net()
             .layers()
@@ -974,19 +848,6 @@ mod tests {
             .flat_map(|l| l.params().into_iter().flat_map(|p| p.value.data().to_vec()))
             .collect();
         assert_eq!(conv_before, conv_after);
-    }
-
-    #[test]
-    fn run_vec_produces_curves_and_episodes() {
-        let mut venv = mramrl_env::VecEnv::from_envs(vec![tiny_env(), tiny_env(), tiny_env()]);
-        let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
-        let mut cfg = TrainerConfig::online(300, 1);
-        cfg.num_envs = 3;
-        let log = Trainer::new(cfg).run_vec(&mut agent, &mut venv);
-        assert!(!log.curve.is_empty());
-        assert!(log.curve.iter().all(|p| p.cumulative_reward.is_finite()));
-        assert!(log.episodes > 0, "a fresh agent must crash sometimes");
-        assert!(log.sfd >= 0.0);
     }
 
     #[test]
@@ -1006,68 +867,34 @@ mod tests {
     }
 
     #[test]
-    fn run_logs_once_per_log_window() {
-        // iters = 11 with log_every = 3: the pre-fix unconditional
-        // final-iteration clause logged window 3 twice (curve iters
-        // [0, 3, 6, 9, 10]); the cadence contract is one point per
-        // window, at its first iteration.
-        let mut env = tiny_env();
-        let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
-        let mut cfg = TrainerConfig::online(11, 1);
-        cfg.log_every = 3;
-        let log = Trainer::new(cfg).run(&mut agent, &mut env);
-        let iters: Vec<u64> = log.curve.iter().map(|p| p.iter).collect();
-        assert_eq!(iters, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
     fn run_vec_logs_once_per_log_window() {
-        // k = 2 lanes with log_every = 3 (k does not divide log_every):
-        // the pre-fix `iter % log_every < k` gate fired on both iter 6
-        // (6 % 3 = 0) and iter 4 (4 % 3 = 1), and the final-step clause
-        // added iter 8 — curve iters [0, 4, 6, 8], logging window 2
-        // twice. Post-fix: the first vec-step at or past each window
-        // start, once per window.
-        let mut venv = mramrl_env::VecEnv::from_envs(vec![tiny_env(), tiny_env()]);
-        let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
-        let mut cfg = TrainerConfig::online(10, 1);
-        cfg.num_envs = 2;
-        cfg.log_every = 3;
-        let log = Trainer::new(cfg).run_vec(&mut agent, &mut venv);
-        let iters: Vec<u64> = log.curve.iter().map(|p| p.iter).collect();
-        assert_eq!(iters, vec![0, 4, 6]);
-        let windows: Vec<u64> = iters.iter().map(|i| i / 3).collect();
-        for w in windows.windows(2) {
-            assert!(w[0] < w[1], "duplicate or out-of-order log window");
+        // One curve point per window, at the first vec-step at or past
+        // the window start (log_every = 3).
+        // * k = 1, iters 11: the pre-fix unconditional final-iteration
+        //   clause logged window 3 twice (curve iters [0, 3, 6, 9, 10]).
+        // * k = 2, iters 10 (k does not divide log_every): the pre-fix
+        //   `iter % log_every < k` gate fired on both iter 6 (6 % 3 = 0)
+        //   and iter 4 (4 % 3 = 1), and the final-step clause added
+        //   iter 8 — curve iters [0, 4, 6, 8], logging window 2 twice.
+        for (k, iters, want) in [(1, 11, vec![0, 3, 6, 9]), (2, 10, vec![0, 4, 6])] {
+            let mut venv = tiny_venv(k);
+            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
+            let mut cfg = TrainerConfig::online(iters, 1);
+            cfg.num_envs = k;
+            cfg.log_every = 3;
+            let log = Trainer::new(cfg).run_vec(&mut agent, &mut venv);
+            let got: Vec<u64> = log.curve.iter().map(|p| p.iter).collect();
+            assert_eq!(got, want, "k={k}");
+            let windows: Vec<u64> = got.iter().map(|i| i / 3).collect();
+            for w in windows.windows(2) {
+                assert!(w[0] < w[1], "duplicate or out-of-order log window");
+            }
         }
     }
 
     #[test]
-    fn run_vec_k1_matches_run_cadence() {
-        // A 1-lane vectorized run must reproduce the serial driver's
-        // curve exactly — same iterations logged, same trajectory. With
-        // run_vec now routed through the actor/learner engine, this test
-        // pins the whole rotated schedule against the serial loop.
-        let mut cfg = TrainerConfig::online(50, 9);
-        cfg.log_every = 7;
-        let serial = {
-            let mut env = tiny_env();
-            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 9);
-            Trainer::new(cfg).run(&mut agent, &mut env)
-        };
-        let vec1 = {
-            let mut venv = mramrl_env::VecEnv::from_envs(vec![tiny_env()]);
-            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 9);
-            Trainer::new(cfg).run_vec(&mut agent, &mut venv)
-        };
-        let it = |l: &TrainLog| l.curve.iter().map(|p| p.iter).collect::<Vec<_>>();
-        assert_eq!(it(&serial), it(&vec1));
-        assert_eq!(serial.final_reward, vec1.final_reward);
-    }
-
-    #[test]
     fn evaluate_vec_reports_flight() {
-        let mut venv = mramrl_env::VecEnv::from_envs(vec![tiny_env(), tiny_env()]);
+        let mut venv = tiny_venv(2);
         let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 4);
         let r = evaluate_vec(&mut agent, &mut venv, 100, 0.05, 4);
         assert!(r.sfd >= 0.0);
@@ -1091,9 +918,7 @@ mod tests {
         cfg.num_envs = 2;
         let trainer = Trainer::new(cfg);
         let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 3);
-        let mut fleets =
-            mramrl_env::VecEnv::from_envs(vec![tiny_env(), tiny_env(), tiny_env(), tiny_env()])
-                .split(2);
+        let mut fleets = tiny_venv(4).split(2);
         let (log, stats) = trainer.run_parallel_timed(&mut agent, &mut fleets, &mut ());
         assert!(!log.curve.is_empty());
         assert_eq!(stats.transitions, 96);

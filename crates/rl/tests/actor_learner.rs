@@ -3,8 +3,9 @@
 //! * `run_parallel(N)` is **bit-identical** (TrainLog curve + final
 //!   weights) to the pinned serial interleaving — an independent
 //!   reference driver below: one round-robin loop over the fleets, a
-//!   single replay buffer, a single RNG — for N ∈ {1, 2, 4}, in both
-//!   float and Q8.8 acting;
+//!   single replay buffer, a single RNG — for N ∈ {1, 2, 4} fleets of
+//!   K = 2 lanes and for one lane (N = K = 1), in both float and Q8.8
+//!   acting;
 //! * `run_parallel(1)` ≡ `run_vec` exactly;
 //! * the trajectory is invariant across the bitwise GEMM backends and
 //!   pool sizes {1, 2, 7} — parallelism changes throughput, never bits;
@@ -231,8 +232,7 @@ fn pinned_serial_reference(
     (curve, agent.net().save_weights())
 }
 
-fn assert_matches_reference(n: usize, q88: bool, backend: GemmBackend) {
-    let k = 2;
+fn assert_matches_reference(n: usize, k: usize, q88: bool, backend: GemmBackend) {
     let mut c = cfg(96, 17, k);
     c.backend = backend;
     if q88 {
@@ -251,22 +251,24 @@ fn assert_matches_reference(n: usize, q88: bool, backend: GemmBackend) {
     assert_eq!(
         curve_bits(&log),
         ref_curve,
-        "curve diverged from the serial interleaving at n={n}, q88={q88}, {backend:?}"
+        "curve diverged from the serial interleaving at n={n}, k={k}, q88={q88}, {backend:?}"
     );
     assert_eq!(
         engine_agent.net().save_weights(),
         ref_weights,
-        "final weights diverged from the serial interleaving at n={n}, q88={q88}, {backend:?}"
+        "final weights diverged from the serial interleaving at n={n}, k={k}, q88={q88}, {backend:?}"
     );
 }
 
 /// `run_parallel(N)` ≡ the pinned serial interleaving, bit for bit, for
-/// N ∈ {1, 2, 4} in both acting precisions.
+/// N ∈ {1, 2, 4} fleets of K = 2 lanes in both acting precisions — and
+/// for one fleet of one lane, the serial single-drone driver every
+/// one-lane `run_vec` caller relies on.
 #[test]
 fn run_parallel_matches_pinned_serial_interleaving() {
-    for &n in &[1usize, 2, 4] {
+    for (n, k) in [(1usize, 1usize), (1, 2), (2, 2), (4, 2)] {
         for q88 in [false, true] {
-            assert_matches_reference(n, q88, GemmBackend::Naive);
+            assert_matches_reference(n, k, q88, GemmBackend::Naive);
         }
     }
 }
@@ -278,8 +280,10 @@ fn run_parallel_matches_pinned_serial_interleaving() {
 #[test]
 fn reference_equivalence_holds_per_backend() {
     for backend in [GemmBackend::Blocked, GemmBackend::Simd] {
-        for q88 in [false, true] {
-            assert_matches_reference(2, q88, backend);
+        for (n, k) in [(1usize, 1usize), (2, 2)] {
+            for q88 in [false, true] {
+                assert_matches_reference(n, k, q88, backend);
+            }
         }
     }
 }
