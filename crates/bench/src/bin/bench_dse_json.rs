@@ -2,24 +2,21 @@
 //! deterministic pool, reduces it to the 4-axis Pareto frontier and
 //! emits `BENCH_dse.json` (+ `results/dse_pareto.csv`).
 //!
-//! Everything in the JSON except the `timing` section is byte-identical
-//! across `NN_POOL_THREADS` and the bitwise GEMM backends (the
-//! `dse-determinism` CI gate pins this); `timing` records the measured
-//! serial-vs-pooled wall clock, i.e. the sweep's parallel speedup.
+//! The JSON is byte-identical across `NN_POOL_THREADS` and the bitwise
+//! GEMM backends (the `dse-determinism` CI gate pins this, and pins the
+//! committed `BENCH_dse.json`). The sweep's wall clock is measured by
+//! perfbench (`dse.sweep_serial_ms`, `dse.sweep_pool_ms`).
 //!
-//! Flags: `--tiny` (16-point smoke space), `--reps N` (timing reps,
-//! default 3), plus the standard `--backend` / `--pool-threads`.
+//! Flags: `--tiny` (16-point smoke space), plus the standard
+//! `--backend` / `--pool-threads`.
 
-use std::time::Instant;
-
-use mramrl_bench::{arg_u64, fmt, save_bench_json, Table};
+use mramrl_bench::{save_bench_json, Table};
 use mramrl_dse::{pareto_frontier, render_csv, render_json, sweep, sweep_serial, DesignSpace};
 
 fn main() {
     mramrl_bench::init_gemm_backend();
-    let (pool, _guard) = mramrl_bench::init_pool_threads();
+    let (_pool, _guard) = mramrl_bench::init_pool_threads();
     let tiny = std::env::args().any(|a| a == "--tiny");
-    let reps = arg_u64("reps", 3).max(1);
 
     let space = if tiny {
         DesignSpace::tiny()
@@ -28,30 +25,12 @@ fn main() {
     };
     eprintln!("design space: {} points", space.len());
 
-    // Timed serial reference (best of `reps`)…
-    let mut serial_ms = f64::INFINITY;
-    let mut results = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        results = sweep_serial(&space);
-        serial_ms = serial_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    // …and the pooled sweep, which must reproduce it bit for bit.
-    let mut parallel_ms = f64::INFINITY;
-    let mut pooled = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        pooled = sweep(&space);
-        parallel_ms = parallel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    // The pooled sweep must reproduce the serial reference bit for bit.
+    let results = sweep_serial(&space);
+    let pooled = sweep(&space);
     assert_eq!(pooled, results, "pooled sweep diverged from serial");
 
     let frontier = pareto_frontier(&results);
-    let timing = mramrl_dse::SweepTiming {
-        serial_ms,
-        parallel_ms,
-        pool_threads: pool.threads(),
-    };
 
     let mut t = Table::new("DSE sweep — 4-axis Pareto frontier", &["Metric", "Value"]);
     t.row_owned(vec!["design points".into(), results.len().to_string()]);
@@ -68,15 +47,9 @@ fn main() {
             .to_string(),
     ]);
     t.row_owned(vec!["frontier size".into(), frontier.len().to_string()]);
-    t.row_owned(vec!["serial sweep [ms]".into(), fmt(serial_ms, 1)]);
-    t.row_owned(vec![
-        format!("pooled sweep [ms] ({} threads)", pool.threads()),
-        fmt(parallel_ms, 1),
-    ]);
-    t.row_owned(vec!["speedup".into(), fmt(timing.speedup(), 2)]);
     t.print();
 
-    let json = render_json(&space, &results, &frontier, Some(&timing));
+    let json = render_json(&space, &results, &frontier);
     let name = if tiny {
         "BENCH_dse_tiny.json"
     } else {

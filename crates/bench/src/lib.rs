@@ -4,13 +4,14 @@
 //! Binaries print the table/series to stdout and write a CSV under
 //! `results/` (override with `MRAMRL_RESULTS`). Learning-curve binaries
 //! run at a quick scale by default; pass `--full` for the DESIGN.md §6
-//! full scale.
+//! full scale. Timing is not measured here: `perfbench/` is the one
+//! timing harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A printable/saveable table.
 ///
@@ -118,8 +119,13 @@ impl Table {
     /// comment lines recording the active run configuration (knobs,
     /// seeds, frame counts) — so a saved table says how it was made.
     pub fn save_with_meta(&self, name: &str, meta: &[(String, String)]) -> Option<PathBuf> {
-        let dir = results_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
+        self.write_csv(&results_dir(), name, meta)
+    }
+
+    /// Writes `<dir>/<name>.csv` with `meta` as `# key=value` lines on
+    /// top; the body of [`Table::save_with_meta`].
+    fn write_csv(&self, dir: &Path, name: &str, meta: &[(String, String)]) -> Option<PathBuf> {
+        if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
             return None;
         }
@@ -140,15 +146,18 @@ impl Table {
 }
 
 /// The standard knob snapshot every figure binary records in its saved
-/// table ([`Table::save_with_meta`]): the resolved GEMM backend, the
-/// installed pool width and whether the SIMD kernel tier is active.
+/// table ([`Table::save_with_meta`]): the GEMM kernel that actually runs
+/// (the resolved default, so a retired alias such as `threaded` records
+/// `blocked`), the installed pool width and whether the SIMD kernel tier
+/// is active.
 /// Call it *after* [`init_gemm_backend`] / [`init_pool_threads`] so the
 /// values reflect what the run actually used.
 pub fn knob_meta() -> Vec<(String, String)> {
-    let backend = std::env::var("NN_GEMM_BACKEND")
-        .unwrap_or_else(|_| mramrl_nn::backend::default_backend().name().to_string());
     vec![
-        ("gemm_backend".to_string(), backend),
+        (
+            "gemm_backend".to_string(),
+            mramrl_nn::backend::default_backend().name().to_string(),
+        ),
         (
             "pool_threads".to_string(),
             mramrl_nn::pool::current_threads().to_string(),
@@ -169,8 +178,8 @@ pub fn results_dir() -> PathBuf {
 
 /// Where a machine-readable bench artifact (`BENCH_*.json`) goes: the
 /// `MRAMRL_RESULTS` dir when set (isolated runs, smoke tests), else the
-/// repository root / current directory — so committed perf trajectories
-/// like `BENCH_batch.json` live next to the code they measure.
+/// repository root / current directory — so committed reports like
+/// `BENCH_dse.json` live next to the code that produces them.
 pub fn bench_json_path(file_name: &str) -> PathBuf {
     std::env::var_os("MRAMRL_RESULTS")
         .map(|d| PathBuf::from(d).join(file_name))
@@ -206,15 +215,24 @@ pub fn full_mode() -> bool {
             .unwrap_or(false)
 }
 
-/// Parses `--name value` from argv, with a default.
+/// Parses `--name value` from argv, with a default when the flag is
+/// absent. A value that is missing or not a `u64` aborts with exit
+/// code 2 and names the flag, as `--backend` does: an explicit request
+/// never silently runs with the default.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let flag = format!("--{name}");
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return default;
+    };
+    let Some(v) = args.get(i + 1) else {
+        eprintln!("error: {flag} needs a value");
+        std::process::exit(2);
+    };
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("error: {flag} {v}: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Resolves the GEMM backend for a figure binary: `--backend <name>` or
@@ -256,10 +274,9 @@ pub fn init_gemm_backend() -> mramrl_nn::GemmBackend {
 /// Resolves the worker-pool size for a figure binary: `--pool-threads N`
 /// wins, else the ambient global pool (the `NN_POOL_THREADS` knob).
 /// Installs a fresh in-process [`mramrl_nn::pool::ThreadPool`] via
-/// [`mramrl_nn::pool::install_handle`] — the same injection
-/// `bench_batch_json` uses, no env-var games — and returns the pool with
-/// its install guard. Keep the returned pair alive for the whole of
-/// `main`; dropping it uninstalls the pool.
+/// [`mramrl_nn::pool::install_handle`] (no env-var games) and returns
+/// the pool with its install guard. Keep the returned pair alive for the
+/// whole of `main`; dropping it uninstalls the pool.
 pub fn init_pool_threads() -> (
     mramrl_nn::pool::ThreadPool,
     mramrl_nn::pool::HandleInstallGuard,
@@ -275,9 +292,8 @@ pub fn init_pool_threads() -> (
 /// The batched-TD benchmark network: the 40×40 micro-AlexNet conv trunk
 /// with its FC tail re-proportioned to the paper's Fig. 3(a) census
 /// (~97 % of weights in the FC layers — the composition whose online
-/// training the whole co-design exploits). Shared by the `batch_td`
-/// criterion bench and the `bench_batch_json` emitter so the JSON perf
-/// trajectory and the criterion numbers measure the same workload.
+/// training the whole co-design exploits). perfbench's `serve-fleet`
+/// workload serves a Q8.8 snapshot of this net.
 pub fn batch_td_spec() -> mramrl_nn::NetworkSpec {
     use mramrl_nn::LayerSpec;
     let mut spec = mramrl_nn::NetworkSpec::micro(40, 1, 5);
@@ -297,48 +313,12 @@ pub fn batch_td_spec() -> mramrl_nn::NetworkSpec {
 }
 
 /// Tiny stand-in for [`batch_td_spec`] (16×16 micro net): same code
-/// paths, seconds instead of minutes — what the smoke tests time.
+/// paths, seconds instead of minutes — what perfbench's smoke run serves.
 pub fn batch_td_spec_tiny() -> mramrl_nn::NetworkSpec {
     mramrl_nn::NetworkSpec::micro(16, 1, 5)
 }
 
-/// The batch sizes every batch-TD measurement reports: 1 (batching
-/// overhead floor), 8, 32 (the acceptance-bar point).
-pub const BATCH_TD_SIZES: [usize; 3] = [1, 8, 32];
-
-/// Deterministic synthetic transitions for the batch-TD workload
-/// (`hw`×`hw` depth images, mixed actions/terminals). Shared by the
-/// `batch_td` criterion bench and the `bench_batch_json` emitter so
-/// both measure the identical workload.
-pub fn batch_td_transitions(n: usize, hw: usize) -> Vec<mramrl_rl::Transition> {
-    let fill = |len: usize, seed: u32| -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let h = (i as u32)
-                    .wrapping_mul(2_654_435_761)
-                    .wrapping_add(seed.wrapping_mul(0x9E37_79B9));
-                (h % 2000) as f32 / 1000.0 - 1.0
-            })
-            .collect()
-    };
-    (0..n)
-        .map(|i| mramrl_rl::Transition {
-            state: std::sync::Arc::new(mramrl_nn::Tensor::from_vec(
-                &[1, hw, hw],
-                fill(hw * hw, i as u32),
-            )),
-            action: i % 5,
-            reward: 0.1 * (i % 7) as f32 - 0.2,
-            next_state: std::sync::Arc::new(mramrl_nn::Tensor::from_vec(
-                &[1, hw, hw],
-                fill(hw * hw, (i + 1000) as u32),
-            )),
-            terminal: i % 11 == 0,
-        })
-        .collect()
-}
-
-/// Rollout fleets for the train-throughput cells: `n` fleets × `k`
+/// Rollout fleets for a `run_parallel` training run: `n` fleets × `k`
 /// lanes of deterministic `hw`×`hw`-camera indoor worlds, flat-seeded
 /// like `Trainer::build_fleets` so every topology-under-test steps the
 /// identical lane set.
@@ -353,46 +333,6 @@ pub fn train_bench_fleets(hw: usize, n: usize, k: usize) -> Vec<mramrl_env::VecE
         })
         .collect();
     mramrl_env::VecEnv::from_envs(envs).split(n)
-}
-
-/// A [`mramrl_rl::QAgent`] on `spec` with `backend` applied — the
-/// agent both batch-TD measurements drive.
-pub fn batch_td_agent(
-    spec: &mramrl_nn::NetworkSpec,
-    backend: mramrl_nn::GemmBackend,
-) -> mramrl_rl::QAgent {
-    let mut a = mramrl_rl::QAgent::new(spec, 42);
-    a.set_gemm_backend(backend);
-    a
-}
-
-/// The Q8.8 deployment-mode engine snapshot of the batch-TD workload
-/// net, on the integer backend matching `backend` (naive→naive,
-/// blocked/simd→blocked) — what the
-/// quantised-inference
-/// bench cells drive. Shares seed 42 with [`batch_td_agent`] so the
-/// float and fixed-point cells measure the same weights.
-pub fn batch_td_qnet(
-    spec: &mramrl_nn::NetworkSpec,
-    backend: mramrl_nn::GemmBackend,
-) -> mramrl_nn::QuantizedNet {
-    let net = spec.build(42);
-    let mut q =
-        mramrl_nn::QuantizedNet::from_network(spec, &net).expect("spec-built net always snapshots");
-    q.set_backend(mramrl_nn::QGemmBackend::from_gemm(backend));
-    q
-}
-
-/// Stacks the first `n` transitions' states into one `[n, 1, hw, hw]`
-/// observation batch (the inference-cell input).
-pub fn batch_td_obs(ts: &[mramrl_rl::Transition], n: usize) -> mramrl_nn::Tensor {
-    let mut shape = vec![n];
-    shape.extend_from_slice(ts[0].state.shape());
-    let mut data = Vec::with_capacity(n * ts[0].state.len());
-    for t in &ts[..n] {
-        data.extend_from_slice(t.state.data());
-    }
-    mramrl_nn::Tensor::from_vec(&shape, data)
 }
 
 /// Formats a float with `digits` decimals, trimming to a compact cell.
@@ -456,16 +396,42 @@ mod tests {
         }
     }
 
+    /// `knob_meta` records the kernel that runs, not the raw env string:
+    /// the retired alias `NN_GEMM_BACKEND=threaded` runs `blocked`. The
+    /// env var is set only in a child run of this test binary (setting it
+    /// here would race the other test threads' env reads).
+    #[test]
+    fn knob_meta_reports_the_backend_that_runs() {
+        if std::env::var("NN_GEMM_BACKEND").as_deref() == Ok("threaded") {
+            let meta = knob_meta();
+            let (_, backend) = meta.iter().find(|(k, _)| k == "gemm_backend").unwrap();
+            println!("gemm_backend={backend}");
+            assert_eq!(backend, "blocked");
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["tests::knob_meta_reports_the_backend_that_runs", "--exact"])
+            .args(["--nocapture", "--test-threads", "1"])
+            .env("NN_GEMM_BACKEND", "threaded")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("gemm_backend=blocked"),
+            "child run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     #[test]
     fn save_with_meta_prefixes_comment_lines() {
-        let dir = std::env::temp_dir().join("mramrl_meta_test");
-        std::env::set_var("MRAMRL_RESULTS", &dir);
+        let dir = std::env::temp_dir().join(format!("mramrl_meta_test_{}", std::process::id()));
         let mut t = Table::new("T", &["a"]);
         t.row(&["1"]);
         let path = t
-            .save_with_meta("meta_demo", &[("seed".into(), "42".into())])
+            .write_csv(&dir, "meta_demo", &[("seed".into(), "42".into())])
             .unwrap();
-        std::env::remove_var("MRAMRL_RESULTS");
+        assert_eq!(path, dir.join("meta_demo.csv"));
         let body = fs::read_to_string(path).unwrap();
         assert!(body.starts_with("# seed=42\n"));
         assert!(body.ends_with("a\n1\n"));

@@ -44,5 +44,5 @@ mod space;
 
 pub use eval::{evaluate, sweep, sweep_serial, DseResult};
 pub use pareto::{dominates, pareto_frontier};
-pub use report::{render_csv, render_json, SweepTiming};
+pub use report::{render_csv, render_json};
 pub use space::{tech_params, DesignSpace, DseConfig, ScenarioMix};

@@ -1,38 +1,15 @@
 //! Report rendering: `BENCH_dse.json` and the per-point CSV.
 //!
-//! Everything except the optional `timing` section is a pure function
-//! of the sweep results, which are themselves byte-identical across
-//! pool sizes and bitwise backends — so the determinism gate renders
-//! with `timing = None` and compares whole strings.
+//! Both are pure functions of the sweep results, which are themselves
+//! byte-identical across pool sizes and bitwise backends — so the
+//! determinism gate compares whole strings, and the committed
+//! `BENCH_dse.json` is reproducible byte for byte. The sweep's wall
+//! clock is measured by perfbench, not recorded here.
 
 use std::fmt::Write as _;
 
 use crate::eval::DseResult;
 use crate::space::DesignSpace;
-
-/// Wall-clock measurements of the sweep, serial vs pooled. Lives in its
-/// own JSON section precisely because it is the *only* nondeterministic
-/// content in the report.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepTiming {
-    /// Serial reference sweep, milliseconds.
-    pub serial_ms: f64,
-    /// Pooled sweep, milliseconds.
-    pub parallel_ms: f64,
-    /// Worker count the pooled sweep ran with.
-    pub pool_threads: usize,
-}
-
-impl SweepTiming {
-    /// Serial / parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-}
 
 fn json_f64(v: f64) -> String {
     if v.is_infinite() {
@@ -82,14 +59,9 @@ fn axis_str(vals: &[String]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Renders the machine-readable report. With `timing = None` the output
-/// is a pure function of `(space, results, frontier)`.
-pub fn render_json(
-    space: &DesignSpace,
-    results: &[DseResult],
-    frontier: &[usize],
-    timing: Option<&SweepTiming>,
-) -> String {
+/// Renders the machine-readable report, a pure function of
+/// `(space, results, frontier)`.
+pub fn render_json(space: &DesignSpace, results: &[DseResult], frontier: &[usize]) -> String {
     let placeable = results.iter().filter(|r| r.placeable).count();
     let write_free = results.iter().filter(|r| r.nvm_write_free).count();
 
@@ -119,21 +91,7 @@ pub fn render_json(
         let _ = writeln!(s, "    {}{}", point_json(&results[i]), comma);
     }
     s.push_str("  ],\n");
-    s.push_str("  \"determinism\": \"every field above is byte-identical across NN_POOL_THREADS in {1,2,7} and the bitwise GEMM backends; only `timing` varies run to run\"");
-    match timing {
-        Some(t) => {
-            s.push_str(",\n");
-            let _ = writeln!(
-                s,
-                "  \"timing\": {{\"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"pool_threads\": {}, \"speedup\": {:.2}}}",
-                t.serial_ms,
-                t.parallel_ms,
-                t.pool_threads,
-                t.speedup()
-            );
-        }
-        None => s.push('\n'),
-    }
+    s.push_str("  \"determinism\": \"every field above is byte-identical across NN_POOL_THREADS in {1,2,7} and the bitwise GEMM backends; the report has no run-to-run content\"\n");
     s.push_str("}\n");
     s
 }
@@ -190,34 +148,12 @@ mod tests {
         let space = DesignSpace::tiny();
         let results = sweep_serial(&space);
         let frontier = pareto_frontier(&results);
-        let a = render_json(&space, &results, &frontier, None);
-        let b = render_json(&space, &results, &frontier, None);
+        let a = render_json(&space, &results, &frontier);
+        let b = render_json(&space, &results, &frontier);
         assert_eq!(a, b);
         assert!(a.contains("\"bench\": \"dse_pareto\""));
         assert!(a.contains("\"points\": 16"));
         assert!(!a.contains("\"timing\""));
-    }
-
-    #[test]
-    fn timing_section_is_additive() {
-        let space = DesignSpace::tiny();
-        let results = sweep_serial(&space);
-        let frontier = pareto_frontier(&results);
-        let bare = render_json(&space, &results, &frontier, None);
-        let timed = render_json(
-            &space,
-            &results,
-            &frontier,
-            Some(&SweepTiming {
-                serial_ms: 100.0,
-                parallel_ms: 25.0,
-                pool_threads: 4,
-            }),
-        );
-        assert!(timed.contains("\"speedup\": 4.00"));
-        // Identical up to the timing section.
-        let cut = bare.find("\"determinism\"").unwrap();
-        assert_eq!(&bare[..cut], &timed[..cut]);
     }
 
     #[test]
@@ -228,15 +164,5 @@ mod tests {
         let csv = render_csv(&results, &frontier);
         assert_eq!(csv.lines().count(), results.len() + 1);
         assert!(csv.lines().any(|l| l.ends_with(",true")));
-    }
-
-    #[test]
-    fn speedup_handles_degenerate_timing() {
-        let t = SweepTiming {
-            serial_ms: 10.0,
-            parallel_ms: 0.0,
-            pool_threads: 1,
-        };
-        assert_eq!(t.speedup(), 0.0);
     }
 }

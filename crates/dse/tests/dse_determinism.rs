@@ -1,9 +1,9 @@
-//! The `dse-determinism` gate: the full fleet-scale report (minus its
-//! timing section) is **byte-identical** across pool sizes {1, 2, 7}
-//! and the GEMM backend selections. The sweep's scoring is pure
-//! analytic arithmetic — no RNG, no clock, no GEMM — and the parallel
-//! scatter uses a pool-width-independent chunk grid, so neither knob
-//! may move a single byte.
+//! The `dse-determinism` gate: the full fleet-scale report is
+//! **byte-identical** across pool sizes {1, 2, 7} and the GEMM backend
+//! selections, and to the committed `BENCH_dse.json`. The sweep's
+//! scoring is pure analytic arithmetic — no RNG, no clock, no GEMM — and
+//! the parallel scatter uses a pool-width-independent chunk grid, so
+//! neither knob may move a single byte.
 //!
 //! CI runs this file once per `NN_GEMM_BACKEND` value; the in-process
 //! loop below additionally crosses the pool axis with the backend axis
@@ -20,7 +20,7 @@ fn fleet_report_is_byte_identical_across_pools_and_backends() {
     // Serial reference, rendered once.
     let results = sweep_serial(&space);
     let frontier = pareto_frontier(&results);
-    let ref_json = render_json(&space, &results, &frontier, None);
+    let ref_json = render_json(&space, &results, &frontier);
     let ref_csv = render_csv(&results, &frontier);
     assert!(!frontier.is_empty());
 
@@ -35,7 +35,7 @@ fn fleet_report_is_byte_identical_across_pools_and_backends() {
             let got = sweep(&space);
             let got_frontier = pareto_frontier(&got);
             assert_eq!(
-                render_json(&space, &got, &got_frontier, None),
+                render_json(&space, &got, &got_frontier),
                 ref_json,
                 "JSON drifted at pool={threads} backend={backend}"
             );
@@ -47,4 +47,20 @@ fn fleet_report_is_byte_identical_across_pools_and_backends() {
         }
     }
     std::env::remove_var("NN_GEMM_BACKEND");
+}
+
+/// The committed `BENCH_dse.json` is the report `bench_dse_json` renders,
+/// byte for byte: a change to the scoring or the report format has to
+/// regenerate it in the same commit.
+#[test]
+fn committed_report_matches_the_rendered_one() {
+    let space = DesignSpace::date19_fleet();
+    let results = sweep_serial(&space);
+    let frontier = pareto_frontier(&results);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json");
+    let committed = std::fs::read_to_string(path).expect("committed BENCH_dse.json");
+    assert!(
+        render_json(&space, &results, &frontier) == committed,
+        "{path} is stale: regenerate it with `cargo run --release -p mramrl_bench --bin bench_dse_json`"
+    );
 }

@@ -200,8 +200,8 @@ impl ThreadPool {
 
     /// Makes this pool the [`current`] one for the calling thread until
     /// the returned guard drops — the injectable-handle mechanism the
-    /// equivalence tests and `bench_batch_json` use to sweep
-    /// `NN_POOL_THREADS` ∈ {1, 2, 7} inside one process.
+    /// equivalence tests use to sweep `NN_POOL_THREADS` ∈ {1, 2, 7}
+    /// inside one process.
     pub fn install(&self) -> InstallGuard<'_> {
         INSTALLED.with(|s| s.borrow_mut().push(self.handle.clone()));
         InstallGuard { _pool: self }

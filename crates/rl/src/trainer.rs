@@ -161,8 +161,9 @@ pub struct TrainLog {
 }
 
 /// Wall-clock and allocation accounting for one
-/// [`Trainer::run_parallel_timed`] run — the instrument behind the
-/// learner-bound vs actor-bound regime cells in `BENCH_batch.json`.
+/// [`Trainer::run_parallel_timed`] run — the instrument behind
+/// perfbench's learner-bound vs actor-bound split (`rl.actor_frac`,
+/// `rl.env_frac`, `rl.learner_frac`).
 ///
 /// The phases run in turn, so `learner_ns` vs `actor_ns + env_ns`
 /// partitions the round's wall-clock — the bound-ness signal.

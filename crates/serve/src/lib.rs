@@ -2,10 +2,11 @@
 //! hot-swappable [`QuantizedNet`](mramrl_nn::QuantizedNet) snapshots.
 //!
 //! The paper's deployment story (Yoon et al., DATE 2019) is a fleet of
-//! drones acting through a frozen STT-MRAM-resident net, and the
-//! workspace's own measurements (`BENCH_batch.json`) show batch-32
-//! Q8.8 inference is ~6× batch-1 — so a request coalescer is the
-//! single biggest serving-throughput lever. This crate is that layer:
+//! drones acting through a frozen STT-MRAM-resident net, and a batched
+//! Q8.8 pass streams each FC weight matrix once per batch instead of
+//! once per image — so a request coalescer is the serving-throughput
+//! lever (perfbench's `serve-fleet` workload measures it). This crate
+//! is that layer:
 //!
 //! * [`SnapshotStore`] — a double-buffered, generation-counted holder
 //!   for the currently-served Q8.8 snapshot. Online learning publishes

@@ -20,8 +20,7 @@ use crate::snapshot::SnapshotStore;
 /// A flush happens when `max_batch` requests are waiting **or** the
 /// oldest waiting request has been queued for `max_delay_us`, whichever
 /// comes first. `max_batch = 1` with a zero deadline degenerates to
-/// request-per-call serving — the baseline `bench_serve_json` measures
-/// coalescing against.
+/// request-per-call serving.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Flush as soon as this many requests are waiting (≥ 1).
